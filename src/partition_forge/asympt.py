@@ -12,8 +12,8 @@ closed-form coefficient estimates for the handful of solvable cases.
 Sign conventions: the closed forms for A, B, C, D carry alternating
 signs such as (-1)^(i-1).  Saddle points and growth rates only ever
 need the magnitudes; every formula below uses |A|, |B|, |C|, |D| after
-asserting that the sign matches its predicted parity, which keeps all
-intermediates real.
+checking that the sign matches its predicted parity (a ValueError
+otherwise), which keeps all intermediates real.
 """
 
 from __future__ import annotations
@@ -262,7 +262,8 @@ def _magnitude(value: float, parity: int) -> float:
     # parity is the exponent of (-1) in the closed form; the simplified
     # real evaluations rely on the sign matching it exactly.
     expected = -1.0 if parity % 2 else 1.0
-    assert value * expected > 0.0, f"sign cancellation failed: {value} vs (-1)^{parity}"
+    if not value * expected > 0.0:
+        raise ValueError(f"sign cancellation failed: {value} vs (-1)^{parity}")
     return abs(value)
 
 
@@ -286,7 +287,7 @@ def weak_saddle_alpha(t, form: str, n: float | None = None, *, ln_n: float | Non
     Seven branches keyed on (i, k, j, form).  Branches that solve a
     transcendental equation do so through Lambert W with the argument in
     its sign-simplified real form; the magnitude substitutions are
-    guarded by sign assertions, and any residual domain violation
+    guarded by sign checks, and any residual domain violation
     surfaces as a ValueError from the W kernel.
     """
     t = as_triple(t)
@@ -346,9 +347,10 @@ def log_growth_terms(t, form: str) -> GrowthTerms:
     else:
         d = _magnitude(residue_leading(t, "Q", 0), i + j + k)
         terms = GrowthTerms(d, float(j), 0.0)
-    assert terms.constant > 0.0 and math.isfinite(terms.constant), (
-        f"growth constant must be real and positive, got {terms.constant} for {t} {form}"
-    )
+    if not (terms.constant > 0.0 and math.isfinite(terms.constant)):
+        raise ValueError(
+            f"growth constant must be real and positive, got {terms.constant} for {t} {form}"
+        )
     return terms
 
 

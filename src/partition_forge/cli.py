@@ -24,7 +24,16 @@ from .asympt import (
 )
 from .divisors import AdmissibleTriple
 from .oracle import cycle_type_sum
-from .series import CoeffSequence, egf_coeffs, egf_coeffs_weighted, ogf_coeffs_euler, to_bfile, to_json
+from .series import (
+    CoeffSequence,
+    egf_coeffs,
+    egf_coeffs_weighted,
+    from_decimal,
+    ogf_coeffs_euler,
+    to_bfile,
+    to_decimal,
+    to_json,
+)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -57,7 +66,10 @@ class ComparisonReport:
 
 
 def parse_bfile(text: str) -> list[BFileRecord]:
-    """Parse b-file text: 'index value' per line, '#' comments, blank lines ok."""
+    """Parse b-file text: 'index value' per line, '#' comments, blank lines ok.
+
+    Both tokens must be plain decimal integers ([+-]?[0-9]+), of any length.
+    """
     records: list[BFileRecord] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -67,7 +79,7 @@ def parse_bfile(text: str) -> list[BFileRecord]:
         if len(tokens) != 2:
             raise BFileError(f"malformed line {lineno}: expected two integer tokens, got {raw!r}")
         try:
-            index, value = int(tokens[0]), int(tokens[1])
+            index, value = from_decimal(tokens[0]), from_decimal(tokens[1])
         except ValueError:
             raise BFileError(
                 f"malformed line {lineno}: expected two integer tokens, got {raw!r}"
@@ -185,12 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _print_sequence(seq: CoeffSequence, fmt: str, out) -> None:
     if fmt == "plain":
-        print(" ".join(str(v) for v in seq.values), file=out)
+        print(" ".join(to_decimal(v) for v in seq.values), file=out)
     elif fmt == "bfile":
         out.write(to_bfile(seq))
     elif fmt == "tsv":
         for n, v in enumerate(seq.values):
-            print(f"{n}\t{v}", file=out)
+            print(f"{n}\t{to_decimal(v)}", file=out)
     else:
         print(to_json(seq), file=out)
 
@@ -213,7 +225,7 @@ def _cmd_coeffs(args, out) -> int:
 
 def _cmd_weighted(args, out) -> int:
     seq = egf_coeffs_weighted(args.triple, args.v, args.n)
-    print(" ".join(str(v) for v in seq.values), file=out)
+    print(" ".join(to_decimal(v) for v in seq.values), file=out)
     return EXIT_OK
 
 
@@ -300,7 +312,11 @@ def _cmd_compare(args, out) -> int:
         print("full match", file=out)
         return EXIT_OK
     idx, expected, actual = report.first_mismatch
-    print(f"first mismatch at index {idx}: reference {expected}, computed {actual}", file=out)
+    print(
+        f"first mismatch at index {idx}: reference {to_decimal(expected)}, "
+        f"computed {to_decimal(actual)}",
+        file=out,
+    )
     return EXIT_MISMATCH
 
 
@@ -335,7 +351,7 @@ def run(argv: list[str], out=None) -> int:
     handler = _HANDLERS[args.verb]
     try:
         return handler(args, out)
-    except (ValueError, ArithmeticError, AssertionError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

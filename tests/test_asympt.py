@@ -22,6 +22,8 @@ from partition_forge.asympt import (
     residue_polynomial,
     weak_saddle_alpha,
 )
+from partition_forge import asympt
+from partition_forge.asympt import _magnitude
 from mellin_expansion import laurent_coefficients, pole_order
 from partition_forge.cli import truncate4
 from partition_forge.series import egf_coeffs, ogf_coeffs_euler
@@ -54,23 +56,23 @@ class TestConstants:
         assert ours == float(REFERENCE_DIGITS[name])
 
     def test_against_mpmath(self):
-        mp.mp.dps = 30
-        pairs = [
-            (CONSTANTS.euler_gamma, mp.euler),
-            (CONSTANTS.stieltjes_gamma1, mp.stieltjes(1)),
-            (CONSTANTS.zeta3, mp.zeta(3)),
-            (CONSTANTS.zeta_prime_minus1, mp.zeta(-1, derivative=1)),
-            (CONSTANTS.log2, mp.log(2)),
-            (CONSTANTS.log_2pi, mp.log(2 * mp.pi)),
-        ]
-        for ours, ref in pairs:
-            assert abs(ours - float(ref)) <= 4e-16 * abs(float(ref))
+        with mp.workdps(30):
+            pairs = [
+                (CONSTANTS.euler_gamma, mp.euler),
+                (CONSTANTS.stieltjes_gamma1, mp.stieltjes(1)),
+                (CONSTANTS.zeta3, mp.zeta(3)),
+                (CONSTANTS.zeta_prime_minus1, mp.zeta(-1, derivative=1)),
+                (CONSTANTS.log2, mp.log(2)),
+                (CONSTANTS.log_2pi, mp.log(2 * mp.pi)),
+            ]
+            for ours, ref in pairs:
+                assert abs(ours - float(ref)) <= 4e-16 * abs(float(ref))
 
     def test_zeta_prime_via_glaisher(self):
         # zeta'(-1) = 1/12 - log(A) with A the Glaisher-Kinkelin constant
-        mp.mp.dps = 30
-        alt = float(mp.mpf(1) / 12 - mp.log(mp.glaisher))
-        assert abs(CONSTANTS.zeta_prime_minus1 - alt) <= 1e-15
+        with mp.workdps(30):
+            alt = float(mp.mpf(1) / 12 - mp.log(mp.glaisher))
+            assert abs(CONSTANTS.zeta_prime_minus1 - alt) <= 1e-15
 
 
 class TestLambertW:
@@ -216,44 +218,44 @@ class TestResiduesAgainstMellinExpansion:
     coefficient of (log t)^u in the residue is (-1)^u a_(-1-u) / u!."""
 
     def test_all_tabulated_polynomial_coefficients(self):
-        mp.mp.dps = 30
-        rows = [("P", t) for t in [(1, 0, 0), (1, 0, 1), (0, 0, 1), (0, 1, 0)]] + [
-            ("Q", t) for t in [(1, 0, 0), (1, 0, 1), (0, 0, 1), (0, 1, 0), (0, 2, 0)]
-        ]
-        for form, triple in rows:
-            i, j, k = triple
-            poles = ([2] if i else []) + ([1] if k else []) + [0]
-            for pole in poles:
-                m = pole_order(i, j, k, form, pole)
-                laurent = laurent_coefficients(i, j, k, form, pole)
-                ours = residue_polynomial(triple, form, pole).coefficients
-                assert len(ours) == m
-                for u, coefficient in enumerate(ours):
-                    a = laurent[u]
-                    ref = (-1) ** u * a / mp.factorial(u)
-                    assert abs(mp.im(ref)) < 1e-18 * max(1.0, abs(mp.re(ref)))
-                    scale = max(abs(float(mp.re(ref))), 1e-12)
-                    assert abs(float(mp.re(ref)) - coefficient) <= 1e-11 * scale, (
-                        form, triple, pole, u
-                    )
+        with mp.workdps(30):
+            rows = [("P", t) for t in [(1, 0, 0), (1, 0, 1), (0, 0, 1), (0, 1, 0)]] + [
+                ("Q", t) for t in [(1, 0, 0), (1, 0, 1), (0, 0, 1), (0, 1, 0), (0, 2, 0)]
+            ]
+            for form, triple in rows:
+                i, j, k = triple
+                poles = ([2] if i else []) + ([1] if k else []) + [0]
+                for pole in poles:
+                    m = pole_order(i, j, k, form, pole)
+                    laurent = laurent_coefficients(i, j, k, form, pole)
+                    ours = residue_polynomial(triple, form, pole).coefficients
+                    assert len(ours) == m
+                    for u, coefficient in enumerate(ours):
+                        a = laurent[u]
+                        ref = (-1) ** u * a / mp.factorial(u)
+                        assert abs(mp.im(ref)) < 1e-18 * max(1.0, abs(mp.re(ref)))
+                        scale = max(abs(float(mp.re(ref))), 1e-12)
+                        assert abs(float(mp.re(ref)) - coefficient) <= 1e-11 * scale, (
+                            form, triple, pole, u
+                        )
 
     def test_leading_constants_over_small_grid(self):
-        mp.mp.dps = 30
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    if i + j + k < 1:
-                        continue
-                    for form in ("P", "Q"):
-                        poles = ([2] if i else []) + ([1] if k else []) + [0]
-                        for pole in poles:
-                            m = pole_order(i, j, k, form, pole)
-                            a = laurent_coefficients(i, j, k, form, pole)[m - 1]
-                            lead = (-1) ** (m - 1) * a / mp.factorial(m - 1)
-                            ours = residue_leading((i, j, k), form, pole)
-                            assert abs(float(mp.re(lead)) - ours) <= 1e-11 * abs(ours), (
-                                form, (i, j, k), pole
-                            )
+        with mp.workdps(30):
+            for i in range(3):
+                for j in range(3):
+                    for k in range(3):
+                        if i + j + k < 1:
+                            continue
+                        for form in ("P", "Q"):
+                            poles = ([2] if i else []) + ([1] if k else []) + [0]
+                            for pole in poles:
+                                m = pole_order(i, j, k, form, pole)
+                                a = laurent_coefficients(i, j, k, form, pole)[m - 1]
+                                lead = (-1) ** (m - 1) * a / mp.factorial(m - 1)
+                                ours = residue_leading((i, j, k), form, pole)
+                                assert abs(float(mp.re(lead)) - ours) <= 1e-11 * abs(ours), (
+                                    form, (i, j, k), pole
+                                )
 
 
 class TestWeakSaddle:
@@ -384,12 +386,12 @@ class TestCoeffAsymptotic:
         assert exact / math.exp(est.ln) == pytest.approx(0.9563, abs=2e-4)
 
     def test_q_cycle_family_constant_against_mpmath(self):
-        mp.mp.dps = 30
-        g, l2 = mp.euler, mp.log(2)
-        c0 = 2 ** (g - l2 / 2 + mp.mpf(1) / 2) / (mp.sqrt(mp.pi) * l2 ** (l2 - mp.mpf(1) / 2))
-        n = 1000.0
-        expected = float(mp.log(c0) + (l2 - 1) * mp.log(n))
-        assert coeff_asymptotic((0, 1, 0), "Q", n).ln == pytest.approx(expected, rel=1e-13)
+        with mp.workdps(30):
+            g, l2 = mp.euler, mp.log(2)
+            c0 = 2 ** (g - l2 / 2 + mp.mpf(1) / 2) / (mp.sqrt(mp.pi) * l2 ** (l2 - mp.mpf(1) / 2))
+            n = 1000.0
+            expected = float(mp.log(c0) + (l2 - 1) * mp.log(n))
+            assert coeff_asymptotic((0, 1, 0), "Q", n).ln == pytest.approx(expected, rel=1e-13)
 
     def test_corrected_cycle_family_accuracy_at_100(self):
         seq = egf_coeffs((0, 1, 0), "P", 100)
@@ -427,11 +429,11 @@ class TestKotesovecRatio:
         assert truncate4(kotesovec_ratio(log10_n=1e5)) == pytest.approx(0.9998, abs=1e-12)
 
     def test_against_mpmath(self):
-        mp.mp.dps = 30
-        for n in (2, 10, 1000):
-            w = mp.lambertw(mp.e ** mp.euler * n)
-            expected = float(w * w / mp.log(n) ** 2)
-            assert kotesovec_ratio(n=n) == pytest.approx(expected, rel=1e-12)
+        with mp.workdps(30):
+            for n in (2, 10, 1000):
+                w = mp.lambertw(mp.e ** mp.euler * n)
+                expected = float(w * w / mp.log(n) ** 2)
+                assert kotesovec_ratio(n=n) == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_on_large_grid_toward_one(self):
         grid = [4, 6, 8, 10, 20, 50, 100, 1000, 10000, 100000]
@@ -444,3 +446,16 @@ class TestKotesovecRatio:
             kotesovec_ratio()
         with pytest.raises(ValueError):
             kotesovec_ratio(n=10, log10_n=1.0)
+
+
+class TestExplicitChecks:
+    """The sign and positivity checks raise, so they hold under python -O."""
+
+    def test_sign_parity_mismatch_raises(self):
+        with pytest.raises(ValueError, match="sign cancellation failed"):
+            _magnitude(1.0, 1)
+
+    def test_nonfinite_growth_constant_raises(self, monkeypatch):
+        monkeypatch.setattr(asympt, "residue_leading", lambda t, form, pole: math.inf)
+        with pytest.raises(ValueError, match="growth constant must be real and positive"):
+            log_growth_terms((1, 0, 0), "P")

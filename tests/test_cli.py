@@ -1,5 +1,6 @@
 import io
 import json
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -17,7 +18,7 @@ from partition_forge.cli import (
     run,
     truncate4,
 )
-from partition_forge.series import egf_coeffs, ogf_coeffs_euler
+from partition_forge.series import egf_coeffs, from_decimal, ogf_coeffs_euler
 
 
 def run_cli(argv):
@@ -50,6 +51,15 @@ class TestParseBfile:
 
     def test_negative_values_allowed(self):
         assert parse_bfile("3 -7\n") == [BFileRecord(3, -7)]
+
+    def test_value_past_digit_limit(self):
+        digits = "9" * 5000
+        assert parse_bfile(f"0 1\n1 {digits}\n") == [BFileRecord(0, 1), BFileRecord(1, 10 ** 5000 - 1)]
+
+    @pytest.mark.parametrize("line", ["1 1_000", "1 1e3", "1 +-2"])
+    def test_tokens_are_strict_decimals(self, line):
+        with pytest.raises(BFileError, match="line 1"):
+            parse_bfile(line)
 
     @given(
         st.lists(st.integers(min_value=-(10 ** 40), max_value=10 ** 40), min_size=1, max_size=30),
@@ -140,6 +150,18 @@ class TestCoeffsVerb:
         assert status == EXIT_OK
         payload = json.loads(out)
         assert payload["values"] == ["1", "1", "3", "11", "59"]
+
+    def test_json_past_digit_limit(self):
+        n = 1700
+        status, out = run_cli(
+            ["coeffs", "--triple", "0,0,1", "--form", "P", "--n", str(n), "--format", "json"]
+        )
+        assert status == EXIT_OK
+        values = json.loads(out)["values"]
+        assert len(values) == n + 1 and len(values[n]) > 4300
+        partitions = ogf_coeffs_euler((0, 0, 1), "P", n).values
+        for m in (0, 1000, n - 1, n):
+            assert from_decimal(values[m]) == factorial(m) * partitions[m]
 
     def test_ogf_with_positive_j_is_domain_error(self):
         status, _ = run_cli(["coeffs", "--triple", "0,1,0", "--form", "P", "--n", "4", "--ogf"])
@@ -267,6 +289,16 @@ class TestCompareVerb:
         )
         assert status == EXIT_MISMATCH
         assert "index 4" in out and "58" in out and "59" in out
+
+    def test_mismatch_past_digit_limit(self, tmp_path):
+        path = tmp_path / "ref.txt"
+        big = "9" * 5000
+        path.write_text(f"0 1\n1 {big}\n")
+        status, out = run_cli(
+            ["compare", "--triple", "0,0,1", "--form", "P", "--bfile", str(path), "--ogf"]
+        )
+        assert status == EXIT_MISMATCH
+        assert f"index 1: reference {big}, computed 1" in out
 
     def test_offset(self, tmp_path):
         path = tmp_path / "ref.txt"

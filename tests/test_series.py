@@ -4,14 +4,17 @@ from math import factorial
 
 import pytest
 
+from partition_forge import series
 from partition_forge.cli import parse_bfile
-from partition_forge.divisors import cycle_weight, cycle_weight_weighted
+from partition_forge.divisors import AdmissibleTriple, cycle_weight, cycle_weight_weighted
 from partition_forge.series import (
     CoeffSequence,
     egf_coeffs,
     egf_coeffs_weighted,
+    from_decimal,
     ogf_coeffs_euler,
     to_bfile,
+    to_decimal,
     to_json,
 )
 
@@ -23,6 +26,13 @@ SMALL_TRIPLES = [
     if i + j + k >= 1
 ]
 
+# the first four keep the ids the rational-route test had with only them
+ROUTE_TRIPLES = [(0, 1, 0), (1, 1, 1), (2, 0, 2), (0, 2, 1)]
+ROUTE_TRIPLES += [t for t in SMALL_TRIPLES if t not in ROUTE_TRIPLES]
+
+# above the interpreter's 4300-digit int<->str limit
+BIG = 7 ** 6000 + 12345
+
 
 def exp_series_rational(t, form, upto):
     """Independent route: F_m = (1/m) sum W(k) F_{m-k} in exact rationals,
@@ -31,6 +41,16 @@ def exp_series_rational(t, form, upto):
     f = [Fraction(1)] + [Fraction(0)] * upto
     for m in range(1, upto + 1):
         f[m] = sum(Fraction(weights[k]) * f[m - k] for k in range(1, m + 1)) / m
+    return [f[m] * factorial(m) for m in range(upto + 1)]
+
+
+def weighted_series_rational(t, v, upto):
+    """Independent route for the v-weighted family: the exponential
+    recurrence run directly in Fraction on the pointwise weights."""
+    weights = [Fraction(0)] + [cycle_weight_weighted(t, k, v) for k in range(1, upto + 1)]
+    f = [Fraction(1)] + [Fraction(0)] * upto
+    for m in range(1, upto + 1):
+        f[m] = sum(weights[k] * f[m - k] for k in range(1, m + 1)) / m
     return [f[m] * factorial(m) for m in range(upto + 1)]
 
 
@@ -45,7 +65,7 @@ class TestEgfCoeffs:
     def test_empty_product(self):
         assert egf_coeffs((1, 1, 1), "P", 0).values == (1,)
 
-    @pytest.mark.parametrize("triple", [(0, 1, 0), (1, 1, 1), (2, 0, 2), (0, 2, 1)])
+    @pytest.mark.parametrize("triple", ROUTE_TRIPLES)
     @pytest.mark.parametrize("form", ["P", "Q"])
     def test_matches_rational_route(self, triple, form):
         fast = egf_coeffs(triple, form, 60).values
@@ -89,14 +109,16 @@ class TestWeighted:
         seq = egf_coeffs_weighted((0, 0, 1), v, 20)
         assert seq.v == v
         assert all(isinstance(x, Fraction) for x in seq.values)
-        # independent route with the same weights
-        weights = [Fraction(0)] + [
-            cycle_weight_weighted((0, 0, 1), k, v) for k in range(1, 21)
-        ]
-        f = [Fraction(1)] + [Fraction(0)] * 20
-        for m in range(1, 21):
-            f[m] = sum(weights[k] * f[m - k] for k in range(1, m + 1)) / m
-        assert [f[m] * factorial(m) for m in range(21)] == list(seq.values)
+        assert weighted_series_rational((0, 0, 1), v, 20) == list(seq.values)
+
+    @pytest.mark.parametrize("v", ["2/3", "-3/4", "5", "-7/2", "1/7"])
+    @pytest.mark.parametrize("triple", [(0, 0, 1), (1, 2, 1)])
+    def test_independent_route_across_v(self, triple, v):
+        v = Fraction(v)
+        seq = egf_coeffs_weighted(triple, v, 20)
+        assert seq.v == v
+        assert all(type(x) is Fraction for x in seq.values)
+        assert weighted_series_rational(triple, v, 20) == list(seq.values)
 
 
 class TestOgfCoeffs:
@@ -126,6 +148,12 @@ class TestOgfCoeffs:
             for form in ("P", "Q"):
                 assert all(v >= 0 for v in ogf_coeffs_euler(triple, form, 80).values)
 
+    def test_inexact_division_raises(self, monkeypatch):
+        # c_1 = 1, c_2 = 0 gives 2 * F_2 = 1, which has no integer solution
+        monkeypatch.setattr(series, "cycle_weight_table", lambda t, form, limit: [0, 1] + [0] * limit)
+        with pytest.raises(ArithmeticError, match="inexact division at n=2"):
+            ogf_coeffs_euler((0, 0, 1), "P", 3)
+
 
 class TestSerialization:
     def test_bfile_round_trip(self):
@@ -148,6 +176,34 @@ class TestSerialization:
         payload = json.loads(to_json(seq))
         assert payload["v"] == "1/2"
         assert [Fraction(s) for s in payload["values"]] == list(seq.values)
+
+    def test_bfile_round_trip_past_digit_limit(self):
+        seq = CoeffSequence(AdmissibleTriple(0, 1, 0), "P", "ogf", (1, BIG, -BIG))
+        records = parse_bfile(to_bfile(seq))
+        assert tuple(r.value for r in records) == (1, BIG, -BIG)
+
+    def test_json_round_trip_past_digit_limit(self):
+        seq = CoeffSequence(AdmissibleTriple(0, 1, 0), "P", "ogf", (1, BIG))
+        payload = json.loads(to_json(seq))
+        assert len(payload["values"][1]) > 4300
+        assert from_decimal(payload["values"][1]) == BIG
+
+    def test_decimal_helpers_any_size(self):
+        for value in (0, -7, BIG, -BIG):
+            assert from_decimal(to_decimal(value)) == value
+        assert to_decimal(Fraction(BIG, 3)).endswith("/3")
+        assert to_decimal(Fraction(-6, 3)) == "-2"
+        assert to_decimal(Fraction(1, 2)) == str(Fraction(1, 2))
+        assert from_decimal("+12") == 12
+
+    @pytest.mark.parametrize(
+        "token",
+        ["", "1_000", " 1", "1e5", "0x10", "\u0663", "1" * 5000 + "x"],
+        ids=["empty", "underscore", "space", "exponent", "hex", "arabic-digit", "long-trailing-x"],
+    )
+    def test_decimal_parse_is_strict(self, token):
+        with pytest.raises(ValueError):
+            from_decimal(token)
 
 
 class TestCoeffSequence:
