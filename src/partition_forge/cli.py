@@ -23,7 +23,7 @@ from .asympt import (
     log_coeff_asymptotic,
 )
 from .divisors import AdmissibleTriple
-from .oracle import cycle_type_sum
+from .oracle import OracleBoundError, cycle_type_sum
 from .series import (
     CoeffSequence,
     egf_coeffs,
@@ -353,7 +353,7 @@ def run(argv: list[str], out=None) -> int:
         return handler(args, out)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return EXIT_USAGE if isinstance(exc, OracleBoundError) else EXIT_DOMAIN
 
 
 def main() -> None:

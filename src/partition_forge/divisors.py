@@ -1,21 +1,20 @@
-"""Divisor lists, k-fold divisor counts and the weight functions chi/psi.
+"""Admissible triples, divisor lists and the arithmetic weights.
 
-Everything downstream (the coefficient recurrences, the brute-force
-counters) is driven by the two arithmetic weights computed here:
-
-* ``chi(t, n)``  -- weight of the cycle-sum form, defined for every
-  admissible triple ``t = (i, j, k)``,
-* ``psi(t, n)``  -- weight of the ordinary product form, defined only
-  when ``j = 0``.
-
-All values are exact Python integers.
+The weights are multiplicative Dirichlet products of N_s(n) = n^s:
+chi = N2^{*i} * N1^{*k} * 1^{*j}, psi = N1^{*i} * 1^{*k}, tau_k = 1^{*k}
+(tau_0 = 1 by convention), W_P = chi * 1 and W_Q = chi * eps with
+eps(m) = (-1)^(m+1).  Each is fixed by its Bell series at every prime p,
+a product of geometric factors (1 - p^s x)^(-count); W adds (1 - x)^(-1),
+and W_Q has a factor (1 - 2x) at p = 2 (Apostol, Introduction to
+Analytic Number Theory, ch. 2).  One smallest-prime-factor sieve builds
+a table for n = 1..limit; trial division gives a single value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from math import isqrt
 
 
 @dataclass(frozen=True)
@@ -101,145 +100,115 @@ class DivisorTable:
         return divisors_of(n)
 
 
-@lru_cache(maxsize=None)
-def tau_k(k: int, n: int) -> int:
-    """Number of ordered k-tuples of positive integers with product n.
+def _bell(p: int, a: int, factors, form: str | None) -> list[int]:
+    """f(1), f(p), ..., f(p^a): the Bell series of f at p, truncated at x^a."""
+    c = [1] + [0] * a
+    for s, count in (*factors, (0, 1)) if form else factors:
+        q = p**s
+        for _ in range(count):
+            for e in range(1, a + 1):
+                c[e] += q * c[e - 1]
+    if form == "Q" and p == 2:
+        for e in range(a, 0, -1):
+            c[e] -= 2 * c[e - 1]
+    return c
 
-    tau_0 and tau_1 are both the constant 1 by convention; for k >= 1
-    the recursion tau_{k+1}(n) = sum_{d|n} tau_k(n/d) applies.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if n < 1:
+
+def _euler_table(factors, limit: int, form: str | None = None) -> list[int]:
+    """f(n) for n = 1..limit (index 0 unused), f the multiplicative function
+    with Bell series prod over (s, count) in factors of (1 - p^s x)^(-count);
+    with form "P" or "Q" the table is W = f * 1 or f * eps instead."""
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
+    spf = list(range(limit + 1))  # smallest prime factor
+    for p in reversed([p for p in range(2, isqrt(limit) + 1) if spf[p] == p]):
+        spf[p * p :: p] = [p] * len(range(p * p, limit + 1, p))
+    f = [0, 1] + [0] * (limit - 1)
+    power = [1] * (limit + 1)  # the full power of spf(n) that divides n
+    for n in range(2, limit + 1):
+        p = spf[n]
+        if p == n:  # f at every power of the prime p
+            powers = [p]
+            while powers[-1] * p <= limit:
+                powers.append(powers[-1] * p)
+            for q, value in zip(powers, _bell(p, len(powers), factors, form)[1:]):
+                f[q] = value
+        m = n // p
+        power[n] = q = power[m] * p if spf[m] == p else p
+        if q != n:
+            f[n] = f[q] * f[n // q]
+    return f
+
+
+def _euler_value(factors, n: int, form: str | None = None) -> int:
+    """The single value f(n) of _euler_table, factoring n by trial division."""
+    if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if k <= 1:
-        return 1
-    return sum(tau_k(k - 1, n // d) for d in divisors_of(n))
+    value, p = 1, 2
+    while n > 1:
+        if p * p > n:
+            p = n
+        a = 0
+        while n % p == 0:
+            n, a = n // p, a + 1
+        if a:
+            value *= _bell(p, a, factors, form)[a]
+        p += 1
+    return value
 
 
-@lru_cache(maxsize=None)
-def tau_k_table(k: int, limit: int) -> tuple[int, ...]:
-    """tau_k(n) for n = 0..limit (index 0 is a placeholder 1).
+def _chi_factors(t) -> tuple:
+    i, j, k = as_triple(t)
+    return ((2, i), (1, k), (0, j))
 
-    Computed by k-1 Dirichlet convolutions with the constant-1 sequence,
-    cached per (k, limit).
-    """
+
+def _psi_factors(t) -> tuple:
+    t = as_triple(t)
+    if t.j != 0:
+        raise ValueError(f"psi is undefined for j > 0 (triple {t})")
+    return ((1, t.i), (0, t.k))
+
+
+def _tau_factors(k: int) -> tuple:
     if k < 0:
         raise ValueError("k must be nonnegative")
-    values = [1] * (limit + 1)
-    for _ in range(max(k - 1, 0)):
-        nxt = [0] * (limit + 1)
-        nxt[0] = 1
-        for d in range(1, limit + 1):
-            for m in range(d, limit + 1, d):
-                nxt[m] += values[m // d]
-        values = nxt
-    return tuple(values)
+    return ((0, max(k, 1)),)  # tau_0 is the constant 1, like tau_1
+
+
+def check_form(form: str) -> None:
+    """Reject any form other than "P" or "Q"."""
+    if form not in ("P", "Q"):
+        raise ValueError(f"form must be 'P' or 'Q', got {form!r}")
+
+
+def tau_k(k: int, n: int) -> int:
+    """Number of ordered k-tuples of positive integers with product n (tau_0 = 1)."""
+    return _euler_value(_tau_factors(k), n)
+
+
+def tau_k_table(k: int, limit: int) -> list[int]:
+    """tau_k(n) for n = 0..limit (index 0 is a placeholder 1)."""
+    return [1] + _euler_table(_tau_factors(k), limit)[1:]
 
 
 def chi(t, n: int) -> int:
-    """Cycle-sum weight chi(n) for an admissible triple.
-
-    Dispatches on which of i, j, k are nonzero; exactly one of the seven
-    branches below applies to any admissible triple.
-    """
-    t = as_triple(t)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    i, j, k = t
-    divs = divisors_of(n)
-    if i >= 1 and j == 0 and k == 0:
-        return n * n * tau_k(i, n)
-    if i >= 1 and j == 0 and k >= 1:
-        return n * sum(p * tau_k(i, p) * tau_k(k, n // p) for p in divs)
-    if i >= 1 and j >= 1 and k == 0:
-        return sum(p * p * tau_k(i, p) * tau_k(j, n // p) for p in divs)
-    if i >= 1 and j >= 1 and k >= 1:
-        total = 0
-        for p in divs:
-            rest = n // p
-            for q in divisors_of(rest):
-                total += p * p * q * tau_k(i, p) * tau_k(k, q) * tau_k(j, rest // q)
-        return total
-    if i == 0 and j == 0 and k >= 1:
-        return n * tau_k(k, n)
-    if i == 0 and j >= 1 and k >= 1:
-        return sum(p * tau_k(k, p) * tau_k(j, n // p) for p in divs)
-    # (0, j >= 1, 0)
-    return tau_k(j, n)
+    """Cycle-sum weight chi(n) of a triple."""
+    return _euler_value(_chi_factors(t), n)
 
 
 def psi(t, n: int) -> int:
     """Ordinary product weight psi(n); defined only for triples with j = 0."""
-    t = as_triple(t)
-    if t.j != 0:
-        raise ValueError(f"psi is undefined for j > 0 (triple {t})")
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    i, _, k = t
-    if i >= 1 and k == 0:
-        return n * tau_k(i, n)
-    if i == 0 and k >= 1:
-        return tau_k(k, n)
-    # (i >= 1, 0, k >= 1)
-    return sum(p * tau_k(i, p) * tau_k(k, n // p) for p in divisors_of(n))
+    return _euler_value(_psi_factors(t), n)
 
 
-def chi_table(t, limit: int, table: DivisorTable | None = None) -> list[int]:
-    """chi(n) for n = 1..limit (index 0 unused), sieve-backed."""
-    t = as_triple(t)
-    dt = table if table is not None and table.limit >= limit else DivisorTable(limit)
-    i, j, k = t
-    ti = tau_k_table(i, limit) if i >= 1 else None
-    tj = tau_k_table(j, limit) if j >= 1 else None
-    tk = tau_k_table(k, limit) if k >= 1 else None
-    out = [0] * (limit + 1)
-    for n in range(1, limit + 1):
-        divs = dt.divisors(n)
-        if i >= 1 and j == 0 and k == 0:
-            v = n * n * ti[n]
-        elif i >= 1 and j == 0 and k >= 1:
-            v = n * sum(p * ti[p] * tk[n // p] for p in divs)
-        elif i >= 1 and j >= 1 and k == 0:
-            v = sum(p * p * ti[p] * tj[n // p] for p in divs)
-        elif i >= 1 and j >= 1 and k >= 1:
-            v = 0
-            for p in divs:
-                rest = n // p
-                for q in dt.divisors(rest):
-                    v += p * p * q * ti[p] * tk[q] * tj[rest // q]
-        elif i == 0 and j == 0 and k >= 1:
-            v = n * tk[n]
-        elif i == 0 and j >= 1 and k >= 1:
-            v = sum(p * tk[p] * tj[n // p] for p in divs)
-        else:
-            v = tj[n]
-        out[n] = v
-    return out
+def chi_table(t, limit: int) -> list[int]:
+    """chi(n) for n = 1..limit (index 0 unused)."""
+    return _euler_table(_chi_factors(t), limit)
 
 
-def psi_table(t, limit: int, table: DivisorTable | None = None) -> list[int]:
+def psi_table(t, limit: int) -> list[int]:
     """psi(n) for n = 1..limit (index 0 unused); requires j = 0."""
-    t = as_triple(t)
-    if t.j != 0:
-        raise ValueError(f"psi is undefined for j > 0 (triple {t})")
-    dt = table if table is not None and table.limit >= limit else DivisorTable(limit)
-    i, _, k = t
-    out = [0] * (limit + 1)
-    if i >= 1 and k == 0:
-        ti = tau_k_table(i, limit)
-        for n in range(1, limit + 1):
-            out[n] = n * ti[n]
-    elif i == 0 and k >= 1:
-        tk = tau_k_table(k, limit)
-        for n in range(1, limit + 1):
-            out[n] = tk[n]
-    else:
-        ti = tau_k_table(i, limit)
-        tk = tau_k_table(k, limit)
-        for n in range(1, limit + 1):
-            out[n] = sum(p * ti[p] * tk[n // p] for p in dt.divisors(n))
-    return out
+    return _euler_table(_psi_factors(t), limit)
 
 
 def cycle_weight(t, length: int, form: str = "P") -> int:
@@ -248,38 +217,17 @@ def cycle_weight(t, length: int, form: str = "P") -> int:
     W_P(L) = sum_{d|L} chi(d); the Q variant alternates the sign with
     the cofactor parity, W_Q(L) = sum_{d|L} (-1)^(L/d+1) chi(d).
     """
-    t = as_triple(t)
-    if length < 1:
-        raise ValueError(f"length must be a positive integer, got {length!r}")
-    if form not in ("P", "Q"):
-        raise ValueError(f"form must be 'P' or 'Q', got {form!r}")
-    divs = divisors_of(length)
-    if form == "P":
-        return sum(chi(t, d) for d in divs)
-    return sum((-1) ** (length // d + 1) * chi(t, d) for d in divs)
+    check_form(form)
+    return _euler_value(_chi_factors(t), length, form)
 
 
 def cycle_weight_weighted(t, length: int, v: Fraction) -> Fraction:
     """General-v weight: sum_{d|L} v^(L/d+1) chi(d), exact rational."""
-    t = as_triple(t)
-    if length < 1:
-        raise ValueError(f"length must be a positive integer, got {length!r}")
-    v = Fraction(v)
-    return sum((v ** (length // d + 1)) * chi(t, d) for d in divisors_of(length))
+    factors, v = _chi_factors(t), Fraction(v)
+    return sum((v ** (length // d + 1)) * _euler_value(factors, d) for d in divisors_of(length))
 
 
 def cycle_weight_table(t, form: str, limit: int) -> list[int]:
-    """W(L) for L = 1..limit (index 0 unused), built from one chi sieve."""
-    if form not in ("P", "Q"):
-        raise ValueError(f"form must be 'P' or 'Q', got {form!r}")
-    dt = DivisorTable(limit)
-    chis = chi_table(t, limit, dt)
-    out = [0] * (limit + 1)
-    for length in range(1, limit + 1):
-        if form == "P":
-            out[length] = sum(chis[d] for d in dt.divisors(length))
-        else:
-            out[length] = sum(
-                (-1) ** (length // d + 1) * chis[d] for d in dt.divisors(length)
-            )
-    return out
+    """W(L) for L = 1..limit (index 0 unused)."""
+    check_form(form)
+    return _euler_table(_chi_factors(t), limit, form)

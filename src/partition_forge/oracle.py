@@ -5,6 +5,9 @@ exponential numerators, and factor-by-factor truncated product
 expansion for the ordinary coefficients.  Both are capped so they
 remain obviously correct and quick enough for CI; the cap on the
 cycle-type sum can be raised with PARTITION_FORGE_ORACLE_BOUND.
+
+The weights chi, psi and W are counted here from their definition, over
+ordered factorizations found by trial division, apart from ``divisors``.
 """
 
 from __future__ import annotations
@@ -13,21 +16,58 @@ import os
 from dataclasses import dataclass
 from math import factorial
 
-from .divisors import as_triple, cycle_weight, psi_table
+from .divisors import as_triple
 
 CYCLE_SUM_BOUND = 40
 PRODUCT_BOUND = 200
 _BOUND_ENV = "PARTITION_FORGE_ORACLE_BOUND"
 
 
+class OracleBoundError(ValueError):
+    """PARTITION_FORGE_ORACLE_BOUND is set to something other than a nonnegative integer."""
+
+
 def _cycle_sum_bound() -> int:
     raw = os.environ.get(_BOUND_ENV)
     if raw is None:
         return CYCLE_SUM_BOUND
-    try:
-        return max(int(raw), CYCLE_SUM_BOUND)
-    except ValueError:
-        return CYCLE_SUM_BOUND
+    if not raw.strip().isdecimal():
+        raise OracleBoundError(f"{_BOUND_ENV} must be a nonnegative integer, got {raw!r}")
+    return max(int(raw), CYCLE_SUM_BOUND)
+
+
+def _divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _tuples(k: int, n: int) -> int:
+    """Ordered k-tuples of positive integers with product n; for k = 0 the
+    empty product, which is 1 only at n = 1."""
+    if k <= 1:
+        return 1 if k == 1 or n == 1 else 0
+    return sum(_tuples(k - 1, n // d) for d in _divisors(n))
+
+
+def _chi(t, n: int) -> int:
+    """chi(n): sum over n = a*b*c of a^2 * c * tuples(i, a) tuples(j, b) tuples(k, c)."""
+    i, j, k = t
+    return sum(
+        a * a * c * _tuples(i, a) * _tuples(j, n // (a * c)) * _tuples(k, c)
+        for a in _divisors(n)
+        for c in _divisors(n // a)
+    )
+
+
+def _psi(t, n: int) -> int:
+    """psi(n): sum over n = a*c of a * tuples(i, a) tuples(k, c)."""
+    i, _, k = t
+    return sum(a * _tuples(i, a) * _tuples(k, n // a) for a in _divisors(n))
+
+
+def _cycle_weight(t, length: int, form: str) -> int:
+    """W(L) = sum over d | L of chi(d), with sign (-1)^(L/d+1) for Q."""
+    sign = -1 if form == "Q" else 1
+    return sum(sign ** (length // d + 1) * _chi(t, d) for d in _divisors(length))
 
 
 @dataclass(frozen=True)
@@ -99,7 +139,7 @@ def cycle_type_sum(t, form: str, n: int) -> int:
         )
     if n == 0:
         return 1
-    weights = [0] + [cycle_weight(t, length, form) for length in range(1, n + 1)]
+    weights = [0] + [_cycle_weight(t, length, form) for length in range(1, n + 1)]
     total = 0
     for ct in cycle_types(n):
         w = 1
@@ -129,9 +169,8 @@ def product_expand(t, form: str, upto: int) -> list[int]:
     coeffs[0] = 1
     if upto == 0:
         return coeffs
-    psis = psi_table(t, upto)
     for m in range(1, upto + 1):
-        for _ in range(psis[m]):
+        for _ in range(_psi(t, m)):
             if form == "P":
                 for idx in range(m, upto + 1):
                     coeffs[idx] += coeffs[idx - m]

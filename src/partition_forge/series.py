@@ -34,6 +34,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from operator import mul
 
 # psi_table and cycle_weight_weighted are not called here any more; they
 # stay importable from this module because perfbench/spans.py wraps them
@@ -42,6 +43,7 @@ from .divisors import (  # noqa: F401
     AdmissibleTriple,
     DivisorTable,
     as_triple,
+    check_form,
     chi_table,
     cycle_weight_table,
     cycle_weight_weighted,
@@ -79,11 +81,6 @@ class CoeffSequence:
         return self.values[n]
 
 
-def _check_form(form: str):
-    if form not in ("P", "Q"):
-        raise ValueError(f"form must be 'P' or 'Q', got {form!r}")
-
-
 def _exp_numerators(weights: list[int], upto: int) -> list[int]:
     """p_0..p_upto of the exponential recurrence, by Horner's rule in j."""
     p = [1] + [0] * upto
@@ -98,7 +95,7 @@ def _exp_numerators(weights: list[int], upto: int) -> list[int]:
 def egf_coeffs(t, form: str, upto: int) -> CoeffSequence:
     """Numerators p_n = n! * [z^n] F(z) for n = 0..upto, exact."""
     t = as_triple(t)
-    _check_form(form)
+    check_form(form)
     if upto < 0:
         raise ValueError("upto must be >= 0")
     weights = cycle_weight_table(t, form, max(upto, 1))
@@ -120,7 +117,7 @@ def egf_coeffs_weighted(t, v, upto: int) -> CoeffSequence:
     a, b = v.numerator, v.denominator
     limit = max(upto, 1)
     dt = DivisorTable(limit)
-    chis = chi_table(t, limit, dt)
+    chis = chi_table(t, limit)
     scaled = [0] * (limit + 1)
     for k in range(1, upto + 1):
         scaled[k] = sum(
@@ -134,7 +131,7 @@ def egf_coeffs_weighted(t, v, upto: int) -> CoeffSequence:
 def ogf_coeffs_euler(t, form: str, upto: int) -> CoeffSequence:
     """Ordinary coefficients [z^n] F(z) for a j = 0 triple, exact."""
     t = as_triple(t)
-    _check_form(form)
+    check_form(form)
     if t.j != 0:
         raise ValueError(f"ordinary coefficients require j = 0 (triple {t})")
     if upto < 0:
@@ -143,11 +140,7 @@ def ogf_coeffs_euler(t, form: str, upto: int) -> CoeffSequence:
     values = [0] * (upto + 1)
     values[0] = 1
     for n in range(1, upto + 1):
-        s = 0
-        for k in range(1, n + 1):
-            ck = c[k]
-            if ck:
-                s += ck * values[n - k]
+        s = sum(map(mul, c[1 : n + 1], values[n - 1 :: -1]))
         q, r = divmod(s, n)
         if r:
             raise ArithmeticError(f"inexact division at n={n} for triple {t}, form {form}")

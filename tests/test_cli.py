@@ -333,3 +333,13 @@ class TestOracleVerb:
     def test_bound_is_domain_error(self):
         status, _ = run_cli(["oracle", "--triple", "0,1,0", "--n", "100"])
         assert status == EXIT_DOMAIN
+
+    @pytest.mark.parametrize("raw", ["forty", "-3"])
+    def test_bad_bound_variable_is_usage_error(self, monkeypatch, capsys, raw):
+        monkeypatch.setenv("PARTITION_FORGE_ORACLE_BOUND", raw)
+        status, out = run_cli(["oracle", "--triple", "0,1,0", "--n", "4"])
+        assert status == EXIT_USAGE
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "PARTITION_FORGE_ORACLE_BOUND" in err and "Traceback" not in err

@@ -222,3 +222,71 @@ class TestCycleWeight:
     def test_rejects_bad_form(self):
         with pytest.raises(ValueError):
             cycle_weight((0, 1, 0), 3, "X")
+
+
+def weight_reference(t, length, form):
+    """W(L) from chi_reference: sum over d | L of chi(d), signed (-1)^(L/d+1) for Q."""
+    sign = -1 if form == "Q" else 1
+    return sum(sign ** (length // d + 1) * chi_reference(t, d) for d in divisors_of(length))
+
+
+SCATTERED_LENGTHS = sorted(
+    {20000, 19999, 19997, 18480, 17280, 16384, 15015, 9240, 6561, 4096, 2310, 301}
+    | set(range(313, 20000, 719))
+)
+
+
+class TestEulerSieve:
+    @pytest.mark.parametrize("triple", SMALL_TRIPLES)
+    def test_weight_table_matches_factorization_count(self, triple):
+        chis = [0] + [chi_reference(triple, n) for n in range(1, 301)]
+        for form, sign in (("P", 1), ("Q", -1)):
+            expected = [0] + [
+                sum(sign ** (L // d + 1) * chis[d] for d in divisors_of(L)) for L in range(1, 301)
+            ]
+            assert cycle_weight_table(triple, form, 300) == expected, (triple, form)
+
+    @pytest.mark.parametrize("triple", [(1, 1, 1), (2, 2, 2)])
+    @pytest.mark.parametrize("form", ["P", "Q"])
+    def test_weight_table_at_scattered_lengths(self, triple, form):
+        assert len(SCATTERED_LENGTHS) == 40
+        table = cycle_weight_table(triple, form, 20000)
+        assert len(table) == 20001
+        for L in SCATTERED_LENGTHS:
+            assert table[L] == weight_reference(triple, L, form), (triple, form, L)
+
+    @pytest.mark.parametrize("triple", SMALL_TRIPLES)
+    def test_chi_table_multiplicative_on_coprime_pairs(self, triple):
+        table = chi_table(triple, 3600)
+        assert table[1] == 1
+        for m in range(1, 61):
+            for n in range(1, 61):
+                if math.gcd(m, n) == 1:
+                    assert table[m * n] == table[m] * table[n], (triple, m, n)
+
+    @pytest.mark.parametrize("triple", SMALL_TRIPLES)
+    def test_edge_limits(self, triple):
+        assert chi_table(triple, 1) == [0, 1]
+        assert chi_table(triple, 2) == [0, 1, chi(triple, 2)]
+        assert cycle_weight_table(triple, "P", 1) == [0, 1]
+        assert cycle_weight_table(triple, "Q", 1) == [0, 1]
+        assert cycle_weight_table(triple, "P", 2) == [0, 1, chi(triple, 2) + 1]
+        assert cycle_weight_table(triple, "Q", 2) == [0, 1, chi(triple, 2) - 1]
+        if triple[1] == 0:
+            assert psi_table(triple, 1) == [0, 1]
+            assert psi_table(triple, 2) == [0, 1, psi(triple, 2)]
+        with pytest.raises(ValueError):
+            chi_table(triple, 0)
+        with pytest.raises(ValueError):
+            cycle_weight_table(triple, "P", 0)
+
+    def test_tau0_table_is_all_ones(self):
+        for limit in (1, 2, 10, 1000):
+            assert list(tau_k_table(0, limit)) == [1] * (limit + 1)
+
+    def test_tables_reject_bad_form(self):
+        for form in ("X", None, "p"):
+            with pytest.raises(ValueError):
+                cycle_weight_table((0, 1, 0), form, 10)
+            with pytest.raises(ValueError):
+                cycle_weight((0, 1, 0), 3, form)

@@ -94,3 +94,35 @@ class TestProductExpand:
         direct = product_expand((0, 0, 1), "P", upto)
         for n in range(upto + 1):
             assert cycle_type_sum((0, 0, 1), "P", n) == factorial(n) * direct[n]
+
+
+class TestIndependentWeights:
+    def test_oracles_do_not_use_the_sieve(self, monkeypatch):
+        from partition_forge import divisors, oracle
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called the fast weight sieve")
+
+        for name in ("chi", "chi_table", "psi", "psi_table", "tau_k", "tau_k_table",
+                     "cycle_weight", "cycle_weight_table", "cycle_weight_weighted"):
+            monkeypatch.setattr(divisors, name, refuse)
+            monkeypatch.setattr(oracle, name, refuse, raising=False)
+        assert cycle_type_sum((0, 1, 0), "P", 4) == 59
+        assert cycle_type_sum((0, 1, 0), "Q", 4) == 11
+        assert product_expand((0, 0, 1), "P", 5) == [1, 1, 2, 3, 5, 7]
+        assert product_expand((1, 0, 0), "P", 4) == [1, 1, 3, 6, 13]
+        assert product_expand((0, 0, 1), "Q", 5) == [1, 1, 1, 2, 2, 3]
+
+
+class TestBoundVariable:
+    @pytest.mark.parametrize("raw", ["abc", "4.5", "-1", "", "0x40"])
+    def test_bad_value_raises(self, monkeypatch, raw):
+        monkeypatch.setenv("PARTITION_FORGE_ORACLE_BOUND", raw)
+        with pytest.raises(ValueError, match="PARTITION_FORGE_ORACLE_BOUND"):
+            cycle_type_sum((0, 1, 0), "P", 3)
+
+    def test_small_value_keeps_default(self, monkeypatch):
+        monkeypatch.setenv("PARTITION_FORGE_ORACLE_BOUND", "0")
+        assert cycle_type_sum((0, 1, 0), "P", CYCLE_SUM_BOUND) > 0
+        with pytest.raises(ValueError):
+            cycle_type_sum((0, 1, 0), "P", CYCLE_SUM_BOUND + 1)
