@@ -10,20 +10,21 @@ r = exp(-exp(alpha(n))); first-order growth of log [z^n] F(z); and the
 closed-form coefficient estimates for the handful of solvable cases.
 
 Sign conventions: the closed forms for A, B, C, D carry alternating
-signs such as (-1)^(i-1).  Saddle points and growth rates only ever
-need the magnitudes; every formula below uses |A|, |B|, |C|, |D| after
-checking that the sign matches its predicted parity (a ValueError
-otherwise), which keeps all intermediates real.
+signs such as (-1)^(i-1).  Saddle points and growth rates need only the
+dominant pole: the rightmost pole s, the degree p of its residue
+polynomial in log t, and the magnitude of its leading coefficient,
+taken after checking that the sign is (-1)^p (a ValueError otherwise),
+which keeps all intermediates real.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import exp, factorial, log, pi, sqrt
+from math import exp, factorial, inf, log, pi, sqrt
 from typing import NamedTuple
 
-from .divisors import AdmissibleTriple, as_triple
+from .divisors import AdmissibleTriple, as_triple, check_form
 
 
 @dataclass(frozen=True)
@@ -137,11 +138,6 @@ def lambert_w_log(ln_x: float) -> float:
 # Residue constants and polynomials
 # ---------------------------------------------------------------------------
 
-def _check_form(form: str):
-    if form not in ("P", "Q"):
-        raise ValueError(f"form must be 'P' or 'Q', got {form!r}")
-
-
 def residue_leading(t, form: str, pole: int) -> float:
     """Leading residue constant at the given pole of the Mellin transform.
 
@@ -150,7 +146,7 @@ def residue_leading(t, form: str, pole: int) -> float:
     factors 3/4 (at s = 2) and 1/2 (at s = 1) from the eta cofactor.
     """
     t = as_triple(t)
-    _check_form(form)
+    check_form(form)
     i, j, k = t
     c = CONSTANTS
     if pole == 2:
@@ -195,45 +191,37 @@ class ResiduePolynomial:
         return acc
 
 
-def _tabulated_polynomials():
-    c = CONSTANTS
-    g, g1 = c.euler_gamma, c.stieltjes_gamma1
-    z3, zp = c.zeta3, c.zeta_prime_minus1
-    l2, l2pi = c.log2, c.log_2pi
-    pi2 = pi * pi
-    table = {
-        ("P", (1, 0, 0), 2): (z3,),
-        ("P", (1, 0, 0), 0): (zp, 1.0 / 12.0),
-        ("P", (1, 0, 1), 2): (pi2 * z3 / 6.0,),
-        ("P", (1, 0, 1), 1): (-pi2 / 12.0,),
-        ("P", (1, 0, 1), 0): (-zp / 2.0 + l2pi / 24.0, -1.0 / 24.0),
-        ("P", (0, 0, 1), 1): (pi2 / 6.0,),
-        ("P", (0, 0, 1), 0): (-l2pi / 2.0, 0.5),
-        ("P", (0, 1, 0), 0): (pi2 / 12.0 - g * g / 2.0 - 2.0 * g1, -g, 0.5),
-        ("Q", (1, 0, 0), 2): (3.0 * z3 / 4.0,),
-        ("Q", (1, 0, 0), 0): (-l2 / 12.0,),
-        ("Q", (1, 0, 1), 2): (pi2 * z3 / 8.0,),
-        ("Q", (1, 0, 1), 1): (-pi2 / 24.0,),
-        ("Q", (1, 0, 1), 0): (l2 / 24.0,),
-        ("Q", (0, 0, 1), 1): (pi2 / 12.0,),
-        ("Q", (0, 0, 1), 0): (-l2 / 2.0,),
-        ("Q", (0, 1, 0), 0): (g * l2 - l2 * l2 / 2.0, -l2),
-        ("Q", (0, 2, 0), 0): (
-            g * g * l2 / 2.0 + pi2 * l2 / 12.0 - g * l2 * l2 + l2 ** 3 / 6.0 - 3.0 * g1 * l2,
-            l2 * l2 / 2.0 - 2.0 * g * l2,
-            l2 / 2.0,
-        ),
-    }
-    return table
+_G, _G1 = CONSTANTS.euler_gamma, CONSTANTS.stieltjes_gamma1
+_Z3, _ZP = CONSTANTS.zeta3, CONSTANTS.zeta_prime_minus1
+_L2, _L2PI = CONSTANTS.log2, CONSTANTS.log_2pi
+_PI2 = pi * pi
 
-
-_POLY_TABLE = _tabulated_polynomials()
-_ROLE_BY_POLE = {2: "a", 1: "b"}
-
-TABULATED_TRIPLES = {
-    "P": ((1, 0, 0), (1, 0, 1), (0, 0, 1), (0, 1, 0)),
-    "Q": ((1, 0, 0), (1, 0, 1), (0, 0, 1), (0, 1, 0), (0, 2, 0)),
+# (form, triple, pole) -> residue polynomial coefficients, ascending in log t
+_POLY_TABLE = {
+    ("P", (1, 0, 0), 2): (_Z3,),
+    ("P", (1, 0, 0), 0): (_ZP, 1.0 / 12.0),
+    ("P", (1, 0, 1), 2): (_PI2 * _Z3 / 6.0,),
+    ("P", (1, 0, 1), 1): (-_PI2 / 12.0,),
+    ("P", (1, 0, 1), 0): (-_ZP / 2.0 + _L2PI / 24.0, -1.0 / 24.0),
+    ("P", (0, 0, 1), 1): (_PI2 / 6.0,),
+    ("P", (0, 0, 1), 0): (-_L2PI / 2.0, 0.5),
+    ("P", (0, 1, 0), 0): (_PI2 / 12.0 - _G * _G / 2.0 - 2.0 * _G1, -_G, 0.5),
+    ("Q", (1, 0, 0), 2): (3.0 * _Z3 / 4.0,),
+    ("Q", (1, 0, 0), 0): (-_L2 / 12.0,),
+    ("Q", (1, 0, 1), 2): (_PI2 * _Z3 / 8.0,),
+    ("Q", (1, 0, 1), 1): (-_PI2 / 24.0,),
+    ("Q", (1, 0, 1), 0): (_L2 / 24.0,),
+    ("Q", (0, 0, 1), 1): (_PI2 / 12.0,),
+    ("Q", (0, 0, 1), 0): (-_L2 / 2.0,),
+    ("Q", (0, 1, 0), 0): (_G * _L2 - _L2 * _L2 / 2.0, -_L2),
+    ("Q", (0, 2, 0), 0): (
+        _G * _G * _L2 / 2.0 + _PI2 * _L2 / 12.0 - _G * _L2 * _L2
+        + _L2 ** 3 / 6.0 - 3.0 * _G1 * _L2,
+        _L2 * _L2 / 2.0 - 2.0 * _G * _L2,
+        _L2 / 2.0,
+    ),
 }
+_ROLE_BY_POLE = {2: "a", 1: "b"}
 
 
 def residue_polynomial(t, form: str, pole: int) -> ResiduePolynomial:
@@ -243,7 +231,7 @@ def residue_polynomial(t, form: str, pole: int) -> ResiduePolynomial:
     coefficient alone, residue_leading covers every admissible triple.
     """
     t = as_triple(t)
-    _check_form(form)
+    check_form(form)
     key = (form, (t.i, t.j, t.k), pole)
     if pole == 2 and t.i < 1:
         raise PoleAbsentError(f"pole absent for this triple: s=2 needs i >= 1, triple {t}")
@@ -267,16 +255,38 @@ def _magnitude(value: float, parity: int) -> float:
     return abs(value)
 
 
+def _dominant_pole(t, form: str) -> tuple[int, int, float]:
+    """(s, p, c) for the pole of L*(s) that dominates the growth.
+
+    s is the rightmost pole (2 if i >= 1, else 1 if k >= 1, else 0), p
+    the degree in log t of its residue polynomial (i - 1, k - 1, or at
+    s = 0 j + 1 for P and j for Q), and c the magnitude of the leading
+    coefficient, whose sign is checked against (-1)^p.
+    """
+    t = as_triple(t)
+    check_form(form)
+    if t.i:
+        s, p = 2, t.i - 1
+    elif t.k:
+        s, p = 1, t.k - 1
+    else:
+        s, p = 0, t.j + 1 if form == "P" else t.j
+    return s, p, _magnitude(residue_leading(t, form, s), p)
+
+
 # ---------------------------------------------------------------------------
 # Saddle points and growth of log-coefficients
 # ---------------------------------------------------------------------------
 
 def _resolve_ln_n(n, ln_n, minimum: float = 0.0) -> float:
+    """ln n from exactly one of n and ln_n; a ValueError names a bad value."""
     if (n is None) == (ln_n is None):
-        raise ValueError("supply exactly one of n or ln_n")
+        raise ValueError("supply exactly one of n and its logarithm")
+    if n is not None and not 0 < n < inf:
+        raise ValueError(f"index must be finite and positive, got n = {n}")
     value = log(n) if n is not None else float(ln_n)
-    if not value > minimum:
-        raise ValueError(f"index too small: need ln n > {minimum}, got {value}")
+    if not minimum < value < inf:
+        raise ValueError(f"index out of range: need {minimum} < ln n < inf, got ln n = {value}")
     return value
 
 
@@ -284,40 +294,20 @@ def weak_saddle_alpha(t, form: str, n: float | None = None, *, ln_n: float | Non
     """Weak asymptotic saddle point alpha(n); the saddle radius is
     r = exp(-exp(alpha(n))).
 
-    Seven branches keyed on (i, k, j, form).  Branches that solve a
-    transcendental equation do so through Lambert W with the argument in
-    its sign-simplified real form; the magnitude substitutions are
-    guarded by sign checks, and any residual domain violation
-    surfaces as a ValueError from the W kernel.
+    With (s, p, c) the dominant pole, u = -alpha solves
+    C * u^m * e^((s+1) u) = n, where (C, m) = (s c, p) for s > 0 and
+    (p c, p - 1) at s = 0.  For m = 0 that is a logarithm; otherwise
+    v = (s+1) u / m solves v e^v = ((s+1)/m) (n/C)^(1/m), which the
+    log-domain Lambert W kernel takes as a logarithm, so n may be far
+    beyond float range.
     """
-    t = as_triple(t)
-    _check_form(form)
+    s, p, c = _dominant_pole(t, form)
     L = _resolve_ln_n(n, ln_n)
-    i, j, k = t
-    if i == 1:
-        a = _magnitude(residue_leading(t, form, 2), 0)
-        return -(L - log(2.0 * a)) / 3.0
-    if i > 1:
-        a = _magnitude(residue_leading(t, form, 2), i - 1)
-        w = lambert_w_log(log(3.0 / (i - 1)) + (L - log(2.0 * a)) / (i - 1))
-        return -(i - 1) / 3.0 * w
-    if k == 1:
-        b = _magnitude(residue_leading(t, form, 1), 0)
-        return -(L - log(b)) / 2.0
-    if k > 1:
-        b = _magnitude(residue_leading(t, form, 1), k - 1)
-        w = lambert_w_log(log(2.0 / (k - 1)) + (L - log(b)) / (k - 1))
-        return -(k - 1) / 2.0 * w
-    # i = k = 0, j >= 1
-    if form == "P":
-        cc = _magnitude(residue_leading(t, "P", 0), j + 1)
-        w = lambert_w_log(-log(float(j)) + (L - log((j + 1) * cc)) / j)
-        return -float(j) * w
-    d = _magnitude(residue_leading(t, "Q", 0), j)
-    if j == 1:
-        return log(d) - L
-    w = lambert_w_log(-log(j - 1.0) + (L - log(j * d)) / (j - 1))
-    return -(j - 1.0) * w
+    C, m = (s * c, p) if s else (p * c, p - 1)
+    if m == 0:
+        return -(L - log(C)) / (s + 1)
+    ln_scale = log((s + 1) / m) if s else -log(m)
+    return -m / (s + 1) * lambert_w_log(ln_scale + (L - log(C)) / m)
 
 
 class GrowthTerms(NamedTuple):
@@ -329,27 +319,22 @@ class GrowthTerms(NamedTuple):
 
 
 def log_growth_terms(t, form: str) -> GrowthTerms:
-    """Sign-simplified constant and exponents of the first-order growth law."""
-    t = as_triple(t)
-    _check_form(form)
-    i, j, k = t
-    if i >= 1:
-        a = _magnitude(residue_leading(t, form, 2), i - 1)
-        const = 1.5 * (2.0 * a / 3.0 ** (i - 1)) ** (1.0 / 3.0)
-        terms = GrowthTerms(const, (i - 1) / 3.0, 2.0 / 3.0)
-    elif k >= 1:
-        b = _magnitude(residue_leading(t, form, 1), i + k - 1)
-        const = 2.0 * (b / 2.0 ** (k - 1)) ** 0.5
-        terms = GrowthTerms(const, (k - 1) / 2.0, 0.5)
-    elif form == "P":
-        cc = _magnitude(residue_leading(t, "P", 0), i + j + k + 1)
-        terms = GrowthTerms(cc, j + 1.0, 0.0)
+    """Sign-simplified constant and exponents of the first-order growth law.
+
+    From the dominant pole (s, p, c): for s > 0 the law is
+    ((s+1)/s) (s c / (s+1)^p)^(1/(s+1)) (ln n)^(p/(s+1)) n^(s/(s+1)),
+    and at s = 0 it is c (ln n)^p.
+    """
+    s, p, c = _dominant_pole(t, form)
+    if s:
+        const = (s + 1) / s * (s * c / (s + 1) ** p) ** (1 / (s + 1))
+        terms = GrowthTerms(const, p / (s + 1), s / (s + 1))
     else:
-        d = _magnitude(residue_leading(t, "Q", 0), i + j + k)
-        terms = GrowthTerms(d, float(j), 0.0)
+        terms = GrowthTerms(c, float(p), 0.0)
     if not (terms.constant > 0.0 and math.isfinite(terms.constant)):
         raise ValueError(
-            f"growth constant must be real and positive, got {terms.constant} for {t} {form}"
+            f"growth constant must be real and positive, "
+            f"got {terms.constant} for {as_triple(t)} {form}"
         )
     return terms
 
@@ -417,10 +402,8 @@ _FULL_COEFF = {
     ("Q", (0, 2, 0)),
 }
 
-_SOLVABLE = {
-    "P": {(1, 0, 0), (1, 0, 1), (0, 0, 1), (0, 1, 0)},
-    "Q": {(1, 0, 0), (1, 0, 1), (0, 0, 1), (0, 1, 0), (0, 2, 0)},
-}
+# the saddle equation is solvable wherever every residue coefficient is known
+_SOLVABLE = {(form, triple) for form, triple, _ in _POLY_TABLE}
 
 CAP_FULL = "full-coefficient"
 CAP_LOG = "log-only"
@@ -438,11 +421,11 @@ class AsymptoticModel:
 
 def asymptotic_model(t, form: str) -> AsymptoticModel:
     t = as_triple(t)
-    _check_form(form)
+    check_form(form)
     key = (t.i, t.j, t.k)
     if (form, key) in _FULL_COEFF:
         return AsymptoticModel(t, form, CAP_FULL)
-    if key in _SOLVABLE[form]:
+    if (form, key) in _SOLVABLE:
         note = "saddle equation solvable; only the log-scale growth estimate is implemented"
         return AsymptoticModel(t, form, CAP_LOG, note)
     return AsymptoticModel(t, form, CAP_LOG)
@@ -458,7 +441,7 @@ def coeff_asymptotic(t, form: str, n: float | None = None, *, ln_n: float | None
     are evaluated on the real branch, i.e. with the magnitude of the log.
     """
     t = as_triple(t)
-    _check_form(form)
+    check_form(form)
     L = _resolve_ln_n(n, ln_n, minimum=math.log(2.0) - 1e-12)
     c = CONSTANTS
     g = c.euler_gamma
@@ -517,10 +500,6 @@ def kotesovec_ratio(n: float | None = None, *, log10_n: float | None = None) -> 
     desk scale the ratio lingers near log 2, which is the numerical trap.
     n may be given directly or as log10(n) for indices like 10^(10^5).
     """
-    if (n is None) == (log10_n is None):
-        raise ValueError("supply exactly one of n or log10_n")
-    L = log(n) if n is not None else float(log10_n) * _LN10
-    if not L > 0.0:
-        raise ValueError("need n >= 2")
+    L = _resolve_ln_n(n, None if log10_n is None else float(log10_n) * _LN10)
     w = lambert_w_log(CONSTANTS.euler_gamma + L)
     return w * w / (L * L)

@@ -151,19 +151,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=_fraction_arg, required=True, metavar="NUM/DEN")
     p.add_argument("--n", type=int, required=True, metavar="N")
 
-    p = sub.add_parser("estimate", help="closed-form coefficient estimate (log scale)")
-    p.add_argument("--triple", type=_triple_arg, required=True, metavar="I,J,K")
-    p.add_argument("--form", choices=("P", "Q"), required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=float)
-    group.add_argument("--log10n", type=float, metavar="X")
-
-    p = sub.add_parser("logasymp", help="first-order growth of log [z^n]F(z)")
-    p.add_argument("--triple", type=_triple_arg, required=True, metavar="I,J,K")
-    p.add_argument("--form", choices=("P", "Q"), required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=float)
-    group.add_argument("--log10n", type=float, metavar="X")
+    for verb, help_text in (
+        ("estimate", "closed-form coefficient estimate (log scale)"),
+        ("logasymp", "first-order growth of log [z^n]F(z)"),
+    ):
+        p = sub.add_parser(verb, help=help_text)
+        p.add_argument("--triple", type=_triple_arg, required=True, metavar="I,J,K")
+        p.add_argument("--form", choices=("P", "Q"), required=True)
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--n", type=float)
+        group.add_argument("--log10n", type=float, metavar="X")
 
     p = sub.add_parser("table-w", help="ratio w_n^2/ln^2(n) rows, 4 decimals")
     group = p.add_mutually_exclusive_group(required=True)
@@ -214,18 +211,19 @@ def _ln_n_from(args) -> tuple[float | None, float | None]:
     return args.n, None
 
 
+def _exact_run(args, n: int) -> CoeffSequence:
+    """Exact run to index n: ordinary coefficients with --ogf, else exponential."""
+    engine = ogf_coeffs_euler if args.ogf else egf_coeffs
+    return engine(args.triple, args.form, n)
+
+
 def _cmd_coeffs(args, out) -> int:
-    if args.ogf:
-        seq = ogf_coeffs_euler(args.triple, args.form, args.n)
-    else:
-        seq = egf_coeffs(args.triple, args.form, args.n)
-    _print_sequence(seq, args.format, out)
+    _print_sequence(_exact_run(args, args.n), args.format, out)
     return EXIT_OK
 
 
 def _cmd_weighted(args, out) -> int:
-    seq = egf_coeffs_weighted(args.triple, args.v, args.n)
-    print(" ".join(to_decimal(v) for v in seq.values), file=out)
+    _print_sequence(egf_coeffs_weighted(args.triple, args.v, args.n), "plain", out)
     return EXIT_OK
 
 
@@ -234,15 +232,13 @@ def _cmd_estimate(args, out) -> int:
     model = asymptotic_model(args.triple, args.form)
     if model.capability == CAP_FULL:
         est = coeff_asymptotic(args.triple, args.form, n, ln_n=ln_n)
-        print(f"triple={args.triple} form={args.form}", file=out)
-        print(f"ln_estimate = {est.ln:.6f}", file=out)
-        print(f"estimate ~ {est.scientific()}", file=out)
+        lines = [f"ln_estimate = {est.ln:.6f}", f"estimate ~ {est.scientific()}"]
     else:
         value = log_coeff_asymptotic(args.triple, args.form, n, ln_n=ln_n)
-        print(f"triple={args.triple} form={args.form}", file=out)
         note = model.note or "no closed-form coefficient estimate for this case"
-        print(f"log-only: {note}", file=out)
-        print(f"log_coeff_growth = {value:.6f}", file=out)
+        lines = [f"log-only: {note}", f"log_coeff_growth = {value:.6f}"]
+    print(f"triple={args.triple} form={args.form}", file=out)
+    print("\n".join(lines), file=out)
     return EXIT_OK
 
 
@@ -263,14 +259,11 @@ def truncate4(x: float) -> float:
 
 
 def _cmd_table_w(args, out) -> int:
-    if args.n_list is not None:
-        for token in args.n_list.split(","):
-            ratio = kotesovec_ratio(n=float(token))
-            print(f"{token.strip()} {truncate4(ratio):.4f}", file=out)
-    else:
-        for token in args.log10n_list.split(","):
-            ratio = kotesovec_ratio(log10_n=float(token))
-            print(f"{token.strip()} {truncate4(ratio):.4f}", file=out)
+    key, tokens = ("n", args.n_list) if args.n_list is not None else ("log10_n", args.log10n_list)
+    # every row is computed before the first prints, so a bad token prints nothing
+    rows = [(token.strip(), kotesovec_ratio(**{key: float(token)})) for token in tokens.split(",")]
+    for token, ratio in rows:
+        print(f"{token} {truncate4(ratio):.4f}", file=out)
     return EXIT_OK
 
 
@@ -300,11 +293,7 @@ def _cmd_compare(args, out) -> int:
     if top < 0:
         raise ValueError("empty overlap between computed sequence and reference")
     upto = min(top, args.limit)
-    if args.ogf:
-        seq = ogf_coeffs_euler(args.triple, args.form, upto)
-    else:
-        seq = egf_coeffs(args.triple, args.form, upto)
-    report = compare_sequence(seq, records, args.offset)
+    report = compare_sequence(_exact_run(args, upto), records, args.offset)
     print(f"offset: {report.offset_applied}", file=out)
     print(f"overlap: {report.overlap_length} terms (computed up to index {upto})", file=out)
     print(f"matched prefix: {report.matched_prefix_length}", file=out)

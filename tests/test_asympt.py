@@ -28,6 +28,16 @@ from mellin_expansion import laurent_coefficients, pole_order
 from partition_forge.cli import truncate4
 from partition_forge.series import egf_coeffs, ogf_coeffs_euler
 
+# every (triple, form) pair with i, j, k <= 3
+SMALL_PAIRS = [
+    ((i, j, k), form)
+    for i in range(4)
+    for j in range(4)
+    for k in range(4)
+    if i + j + k
+    for form in ("P", "Q")
+]
+
 # Standard reference digit strings (Euler-Mascheroni, first Stieltjes,
 # Apery's constant, zeta'(-1), log 2, log 2pi), used as one anchor; the
 # second anchor is an mpmath computation at 30 significant digits.
@@ -296,6 +306,19 @@ class TestWeakSaddle:
         u = -weak_saddle_alpha((0, 2, 0), "Q", n)
         d = abs(residue_leading((0, 2, 0), "Q", 0))
         assert 2 * d * u * math.exp(u) == pytest.approx(n, rel=1e-10)
+        # every small pair against the saddle equation of its regime
+        for t, form in SMALL_PAIRS:
+            i, j, k = t
+            u = -weak_saddle_alpha(t, form, n)
+            if i >= 1:
+                lhs = 2 * abs(residue_leading(t, form, 2)) * u ** (i - 1) * math.exp(3 * u)
+            elif k >= 1:
+                lhs = abs(residue_leading(t, form, 1)) * u ** (k - 1) * math.exp(2 * u)
+            elif form == "P":
+                lhs = (j + 1) * abs(residue_leading(t, "P", 0)) * u ** j * math.exp(u)
+            else:
+                lhs = j * abs(residue_leading(t, "Q", 0)) * u ** (j - 1) * math.exp(u)
+            assert lhs == pytest.approx(n, rel=1e-10), (t, form)
 
     def test_log_mode_matches_direct(self):
         for triple, form in [((2, 0, 0), "P"), ((0, 0, 2), "Q"), ((0, 2, 0), "P")]:
@@ -343,6 +366,21 @@ class TestLogCoeffAsymptotic:
                         terms = log_growth_terms((i, j, k), form)
                         assert terms.constant > 0
                         assert math.isfinite(terms.constant)
+
+    def test_growth_terms_follow_the_four_regimes(self):
+        for t, form in SMALL_PAIRS:
+            i, j, k = t
+            if i >= 1:
+                a = abs(residue_leading(t, form, 2))
+                expected = (1.5 * (2 * a / 3 ** (i - 1)) ** (1 / 3), (i - 1) / 3, 2 / 3)
+            elif k >= 1:
+                b = abs(residue_leading(t, form, 1))
+                expected = (2 * (b / 2 ** (k - 1)) ** 0.5, (k - 1) / 2, 1 / 2)
+            elif form == "P":
+                expected = (abs(residue_leading(t, "P", 0)), j + 1, 0)
+            else:
+                expected = (abs(residue_leading(t, "Q", 0)), j, 0)
+            assert tuple(log_growth_terms(t, form)) == pytest.approx(expected, rel=1e-14), (t, form)
 
     def test_log_mode(self):
         direct = log_coeff_asymptotic((0, 1, 0), "P", 1e6)
@@ -446,6 +484,34 @@ class TestKotesovecRatio:
             kotesovec_ratio()
         with pytest.raises(ValueError):
             kotesovec_ratio(n=10, log10_n=1.0)
+
+
+class TestIndexValidation:
+    """Every float entry point rejects a non-positive or non-finite index."""
+
+    @pytest.mark.parametrize("n", [0, -5.0, math.inf, math.nan])
+    def test_bad_n(self, n):
+        calls = [
+            lambda: weak_saddle_alpha((2, 0, 1), "P", n),
+            lambda: log_coeff_asymptotic((0, 0, 1), "Q", n),
+            lambda: coeff_asymptotic((0, 0, 1), "P", n),
+            lambda: kotesovec_ratio(n=n),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"n = {n}"):
+                call()
+
+    @pytest.mark.parametrize("ln_n", [math.inf, -math.inf, math.nan, -1.0, 0.0])
+    def test_bad_ln_n(self, ln_n):
+        calls = [
+            lambda: weak_saddle_alpha((0, 2, 0), "Q", ln_n=ln_n),
+            lambda: log_coeff_asymptotic((1, 1, 1), "P", ln_n=ln_n),
+            lambda: coeff_asymptotic((0, 1, 0), "P", ln_n=ln_n),
+            lambda: kotesovec_ratio(log10_n=ln_n),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="ln n = "):
+                call()
 
 
 class TestExplicitChecks:

@@ -234,6 +234,33 @@ class TestEstimateVerbs:
         assert float(out.strip()) == pytest.approx(math.pi * math.sqrt(400.0), rel=1e-6)
 
 
+class TestBadIndex:
+    """A non-positive or non-finite index: exit 1, one error line, nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--triple", "0,0,1", "--form", "P", "--n", "inf"],
+            ["logasymp", "--triple", "0,0,1", "--form", "P", "--n", "inf"],
+            ["estimate", "--triple", "1,0,0", "--form", "Q", "--n", "0"],
+            ["logasymp", "--triple", "0,2,0", "--form", "P", "--n", "-5"],
+            ["estimate", "--triple", "2,1,0", "--form", "P", "--log10n", "inf"],
+            ["logasymp", "--triple", "0,1,0", "--form", "Q", "--log10n", "nan"],
+            ["table-w", "--log10n-list", "inf"],
+            ["table-w", "--log10n-list", "-1"],
+            ["table-w", "--n-list", "10,0"],
+            ["table-w", "--n-list", "1000,inf"],
+        ],
+    )
+    def test_rejected_before_any_output(self, argv, capsys):
+        status, out = run_cli(argv)
+        assert status == EXIT_DOMAIN
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert argv[-1].split(",")[-1] in err or "ln n = " in err
+
+
 class TestTableVerb:
     def test_reference_rows(self):
         status, out = run_cli(["table-w", "--n-list", "2,1000"])

@@ -135,8 +135,9 @@ class TestTauK:
         # tau_{k+1}(n) = sum_{d|n} tau_k(n/d) for k >= 1
         for k in range(1, 5):
             upper = tau_k_table(k, 500)
+            tau_next = tau_k_table(k + 1, 500)
             for n in range(1, 501):
-                assert tau_k_table(k + 1, 500)[n] == sum(
+                assert tau_next[n] == sum(
                     upper[n // d] for d in divisors_of(n)
                 )
 
