@@ -20,7 +20,9 @@ which keeps all intermediates real.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from math import exp, factorial, inf, log, pi, sqrt
 from typing import NamedTuple
 
@@ -66,7 +68,7 @@ def lambert_w(x: float) -> float:
 
     Defined for x >= -1/e.  Initial guess log(x) - log(log(x)) for large
     x, a series guess near the origin and near the branch point, then
-    Halley iterations to a fixed point (cap 50, convergence asserted).
+    Halley iterations to a fixed point (at most 50, else ArithmeticError).
     """
     if x != x:
         raise ValueError("lambert_w of NaN")
@@ -255,13 +257,26 @@ def _magnitude(value: float, parity: int) -> float:
     return abs(value)
 
 
-def _dominant_pole(t, form: str) -> tuple[int, int, float]:
-    """(s, p, c) for the pole of L*(s) that dominates the growth.
+class GrowthTerms(NamedTuple):
+    """log [z^n] F(z) ~ constant * (ln n)^log_power * n^index_power."""
+
+    constant: float
+    log_power: float
+    index_power: float
+
+
+_GrowthRecord = namedtuple("_GrowthRecord", "triple s p c ln_C m ln_scale factor terms residue0")
+
+
+@lru_cache(maxsize=256, typed=True)  # every (triple, form) with i, j, k <= 4 fits
+def _growth_record(form: str, *t) -> _GrowthRecord:
+    """The dominant pole (s, p, c) of one (triple, form) and the constants read off it.
 
     s is the rightmost pole (2 if i >= 1, else 1 if k >= 1, else 0), p
     the degree in log t of its residue polynomial (i - 1, k - 1, or at
     s = 0 j + 1 for P and j for Q), and c the magnitude of the leading
-    coefficient, whose sign is checked against (-1)^p.
+    coefficient, whose sign is checked against (-1)^p.  The triple comes
+    unpacked, and typed=True keeps True and 1.0 apart from 1.
     """
     t = as_triple(t)
     check_form(form)
@@ -271,7 +286,16 @@ def _dominant_pole(t, form: str) -> tuple[int, int, float]:
         s, p = 1, t.k - 1
     else:
         s, p = 0, t.j + 1 if form == "P" else t.j
-    return s, p, _magnitude(residue_leading(t, form, s), p)
+    c = _magnitude(residue_leading(t, form, s), p)
+    C, m = (s * c, p) if s else (p * c, p - 1)
+    ln_scale = (log((s + 1) / m) if s else -log(m)) if m else 0.0
+    if s:
+        const = (s + 1) / s * (s * c / (s + 1) ** p) ** (1 / (s + 1))
+        terms = GrowthTerms(const, p / (s + 1), s / (s + 1))
+    else:
+        terms = GrowthTerms(c, float(p), 0.0)
+    residue0 = _POLY_TABLE.get((form, (t.i, t.j, t.k), 0))
+    return _GrowthRecord(t, s, p, c, log(C), m, ln_scale, -m / (s + 1), terms, residue0)
 
 
 # ---------------------------------------------------------------------------
@@ -301,21 +325,11 @@ def weak_saddle_alpha(t, form: str, n: float | None = None, *, ln_n: float | Non
     log-domain Lambert W kernel takes as a logarithm, so n may be far
     beyond float range.
     """
-    s, p, c = _dominant_pole(t, form)
+    r = _growth_record(form, *t)
     L = _resolve_ln_n(n, ln_n)
-    C, m = (s * c, p) if s else (p * c, p - 1)
-    if m == 0:
-        return -(L - log(C)) / (s + 1)
-    ln_scale = log((s + 1) / m) if s else -log(m)
-    return -m / (s + 1) * lambert_w_log(ln_scale + (L - log(C)) / m)
-
-
-class GrowthTerms(NamedTuple):
-    """log [z^n] F(z) ~ constant * (ln n)^log_power * n^index_power."""
-
-    constant: float
-    log_power: float
-    index_power: float
+    if r.m == 0:
+        return -(L - r.ln_C) / (r.s + 1)
+    return r.factor * lambert_w_log(r.ln_scale + (L - r.ln_C) / r.m)
 
 
 def log_growth_terms(t, form: str) -> GrowthTerms:
@@ -325,12 +339,7 @@ def log_growth_terms(t, form: str) -> GrowthTerms:
     ((s+1)/s) (s c / (s+1)^p)^(1/(s+1)) (ln n)^(p/(s+1)) n^(s/(s+1)),
     and at s = 0 it is c (ln n)^p.
     """
-    s, p, c = _dominant_pole(t, form)
-    if s:
-        const = (s + 1) / s * (s * c / (s + 1) ** p) ** (1 / (s + 1))
-        terms = GrowthTerms(const, p / (s + 1), s / (s + 1))
-    else:
-        terms = GrowthTerms(c, float(p), 0.0)
+    terms = _growth_record(form, *t).terms
     if not (terms.constant > 0.0 and math.isfinite(terms.constant)):
         raise ValueError(
             f"growth constant must be real and positive, "
@@ -361,6 +370,13 @@ def log_coeff_asymptotic(t, form: str, n: float | None = None, *, ln_n: float | 
     return value
 
 
+def log_coeff_asymptotic_ln(t, form: str, n: float | None = None, *, ln_n: float | None = None) -> float:
+    """ln of log_coeff_asymptotic, ln constant + log_power ln ln n + index_power ln n."""
+    L = _resolve_ln_n(n, ln_n)
+    constant, log_power, index_power = log_growth_terms(t, form)
+    return log(constant) + log_power * log(L) + index_power * L
+
+
 # ---------------------------------------------------------------------------
 # Full coefficient estimates for the solvable cases
 # ---------------------------------------------------------------------------
@@ -386,8 +402,8 @@ class CoeffEstimate:
     def mantissa(self) -> float:
         return 10.0 ** (self.log10 - self.exponent10)
 
-    def scientific(self) -> str:
-        return f"{self.mantissa:.3f}e{self.exponent10:+d}"
+    def scientific(self, digits: int = 3) -> str:
+        return f"{self.mantissa:.{digits}f}e{self.exponent10:+d}"
 
     @property
     def value(self) -> float:
@@ -440,15 +456,14 @@ def coeff_asymptotic(t, form: str, n: float | None = None, *, ln_n: float | None
     Square roots of log factors that are negative for every finite index
     are evaluated on the real branch, i.e. with the magnitude of the log.
     """
-    t = as_triple(t)
-    check_form(form)
+    r = _growth_record(form, *t)
     L = _resolve_ln_n(n, ln_n, minimum=math.log(2.0) - 1e-12)
     c = CONSTANTS
     g = c.euler_gamma
-    key = (form, (t.i, t.j, t.k))
+    key = (form, (r.triple.i, r.triple.j, r.triple.k))
     if key not in _FULL_COEFF:
         raise NoClosedFormError(
-            f"no closed-form coefficient estimate for triple {t}, form {form}"
+            f"no closed-form coefficient estimate for triple {r.triple}, form {form}"
         )
     if key == ("P", (0, 0, 1)):
         # exp(pi*sqrt(2n/3)) / (4*sqrt(3)*n)
@@ -463,7 +478,7 @@ def coeff_asymptotic(t, form: str, n: float | None = None, *, ln_n: float | None
         # of the truncated saddle equation; its first-order simplification
         # -log(w/n) alone misestimates the coefficient by ~16% even at
         # n = 455 (and is negative as literally printed).
-        c0 = residue_polynomial(t, "P", 0).coefficients[0]
+        c0 = r.residue0[0]
         w = lambert_w_log(g + L)
         lt = log(w) - L
         width = 2.0 * pi * (g + 1.0 - lt)
@@ -475,7 +490,7 @@ def coeff_asymptotic(t, form: str, n: float | None = None, *, ln_n: float | None
         ln_est = ln_const + (l2 - 1.0) * L
     else:
         # Q, (0,2,0): theta(n) = (2 d2 / n) * W(n * exp(-d1/(2 d2)) / (2 d2))
-        d0, d1, d2 = residue_polynomial(t, "Q", 0).coefficients
+        d0, d1, d2 = r.residue0
         ln_arg = L - d1 / (2.0 * d2) - log(2.0 * d2)
         w = lambert_w_log(ln_arg)
         ln_theta = log(2.0 * d2) - L + log(w)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,10 +18,12 @@ from math import lgamma, log
 from .asympt import (
     CAP_FULL,
     CONSTANTS,
+    CoeffEstimate,
     asymptotic_model,
     coeff_asymptotic,
     kotesovec_ratio,
     log_coeff_asymptotic,
+    log_coeff_asymptotic_ln,
 )
 from .divisors import AdmissibleTriple
 from .oracle import OracleBoundError, cycle_type_sum
@@ -149,6 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weighted", help="rational coefficients of the v-weighted family")
     p.add_argument("--triple", type=_triple_arg, required=True, metavar="I,J,K")
     p.add_argument("--v", type=_fraction_arg, required=True, metavar="NUM/DEN")
+    # argparse takes a dash token for an option unless it looks like a number; -7/2 is one
+    p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     p.add_argument("--n", type=int, required=True, metavar="N")
 
     for verb, help_text in (
@@ -227,25 +232,34 @@ def _cmd_weighted(args, out) -> int:
     return EXIT_OK
 
 
+def _growth_text(args, n, ln_n) -> str:
+    """log_coeff_asymptotic to 6 decimals; once it overflows, mantissa and exponent."""
+    try:
+        return f"{log_coeff_asymptotic(args.triple, args.form, n, ln_n=ln_n):.6f}"
+    except OverflowError:
+        return CoeffEstimate(log_coeff_asymptotic_ln(args.triple, args.form, n, ln_n=ln_n)).scientific(12)
+
+
 def _cmd_estimate(args, out) -> int:
     n, ln_n = _ln_n_from(args)
     model = asymptotic_model(args.triple, args.form)
     if model.capability == CAP_FULL:
-        est = coeff_asymptotic(args.triple, args.form, n, ln_n=ln_n)
-        lines = [f"ln_estimate = {est.ln:.6f}", f"estimate ~ {est.scientific()}"]
+        try:
+            est = coeff_asymptotic(args.triple, args.form, n, ln_n=ln_n)
+            lines = [f"ln_estimate = {est.ln:.6f}", f"estimate ~ {est.scientific()}"]
+        except OverflowError:  # past float range ln_estimate is its first-order law, to float precision
+            ln_ln = log_coeff_asymptotic_ln(args.triple, args.form, n, ln_n=ln_n)
+            lines = [f"ln_estimate = {CoeffEstimate(ln_ln).scientific(12)}"]
     else:
-        value = log_coeff_asymptotic(args.triple, args.form, n, ln_n=ln_n)
         note = model.note or "no closed-form coefficient estimate for this case"
-        lines = [f"log-only: {note}", f"log_coeff_growth = {value:.6f}"]
+        lines = [f"log-only: {note}", f"log_coeff_growth = {_growth_text(args, n, ln_n)}"]
     print(f"triple={args.triple} form={args.form}", file=out)
     print("\n".join(lines), file=out)
     return EXIT_OK
 
 
 def _cmd_logasymp(args, out) -> int:
-    n, ln_n = _ln_n_from(args)
-    value = log_coeff_asymptotic(args.triple, args.form, n, ln_n=ln_n)
-    print(f"{value:.6f}", file=out)
+    print(_growth_text(args, *_ln_n_from(args)), file=out)
     return EXIT_OK
 
 

@@ -17,6 +17,7 @@ from partition_forge.asympt import (
     lambert_w,
     lambert_w_log,
     log_coeff_asymptotic,
+    log_coeff_asymptotic_ln,
     log_growth_terms,
     residue_leading,
     residue_polynomial,
@@ -26,6 +27,7 @@ from partition_forge import asympt
 from partition_forge.asympt import _magnitude
 from mellin_expansion import laurent_coefficients, pole_order
 from partition_forge.cli import truncate4
+from partition_forge.divisors import AdmissibleTriple
 from partition_forge.series import egf_coeffs, ogf_coeffs_euler
 
 # every (triple, form) pair with i, j, k <= 3
@@ -390,6 +392,20 @@ class TestLogCoeffAsymptotic:
         huge = log_coeff_asymptotic((0, 1, 0), "P", ln_n=1e5 * math.log(10))
         assert math.isfinite(huge)
 
+    def test_log_of_the_growth_law(self):
+        for t, form in SMALL_PAIRS:
+            for L in (0.5, 10.0, 700.0):
+                ours = log_coeff_asymptotic_ln(t, form, ln_n=L)
+                assert ours == pytest.approx(math.log(log_coeff_asymptotic(t, form, ln_n=L)), rel=1e-12)
+        # past the float range of the value itself the logarithm stays finite
+        L = 1e5 * math.log(10)
+        with pytest.raises(OverflowError):
+            log_coeff_asymptotic((1, 0, 0), "P", ln_n=L)
+        const = 1.5 * (2 * CONSTANTS.zeta3) ** (1 / 3)
+        assert log_coeff_asymptotic_ln((1, 0, 0), "P", ln_n=L) == pytest.approx(
+            math.log(const) + 2 * L / 3, rel=1e-14
+        )
+
 
 class TestAsymptoticModel:
     def test_full_coefficient_cases(self):
@@ -514,6 +530,45 @@ class TestIndexValidation:
                 call()
 
 
+@pytest.fixture
+def cold_growth_records():
+    """Empty the growth-record cache around a test, so a patched residue reaches the builder."""
+    asympt._growth_record.cache_clear()
+    yield
+    asympt._growth_record.cache_clear()
+
+
+class TestGrowthRecordCache:
+    """One record per (triple, form), cached by type as well as value."""
+
+    CALLS = (
+        lambda t, f: weak_saddle_alpha(t, f, ln_n=5.0),
+        lambda t, f: log_coeff_asymptotic(t, f, ln_n=5.0),
+        lambda t, f: log_growth_terms(t, f),
+        lambda t, f: coeff_asymptotic(t, f, ln_n=5.0),
+    )
+
+    @pytest.mark.parametrize("bad", [(True, 0, 0), (1.0, 0, 0), (0, 0, 0), (-1, 0, 0)])
+    def test_warm_record_does_not_admit_lookalikes(self, bad, cold_growth_records):
+        weak_saddle_alpha((1, 0, 0), "P", ln_n=5.0)
+        for call in self.CALLS:
+            with pytest.raises(ValueError):
+                call(bad, "P")
+
+    def test_list_and_triple_match_tuple(self):
+        for t, form in SMALL_PAIRS:
+            for call in self.CALLS:
+                try:
+                    expected = call(t, form)
+                except NoClosedFormError:
+                    continue
+                assert call(list(t), form) == expected
+                assert call(AdmissibleTriple(*t), form) == expected
+
+    def test_bounded(self):
+        assert asympt._growth_record.cache_info().maxsize == 256
+
+
 class TestExplicitChecks:
     """The sign and positivity checks raise, so they hold under python -O."""
 
@@ -521,7 +576,7 @@ class TestExplicitChecks:
         with pytest.raises(ValueError, match="sign cancellation failed"):
             _magnitude(1.0, 1)
 
-    def test_nonfinite_growth_constant_raises(self, monkeypatch):
+    def test_nonfinite_growth_constant_raises(self, monkeypatch, cold_growth_records):
         monkeypatch.setattr(asympt, "residue_leading", lambda t, form, pole: math.inf)
         with pytest.raises(ValueError, match="growth constant must be real and positive"):
             log_growth_terms((1, 0, 0), "P")

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 from math import factorial
 
 import pytest
@@ -207,6 +208,12 @@ class TestWeightedVerb:
         assert tokens[0] == "1"
         assert "/" in out  # fractional values rendered as num/den
 
+    def test_negative_fraction_after_a_space(self):
+        spaced = run_cli(["weighted", "--triple", "0,1,0", "--v", "-7/2", "--n", "4"])
+        joined = run_cli(["weighted", "--triple", "0,1,0", "--v=-7/2", "--n", "4"])
+        assert spaced == joined
+        assert spaced[0] == EXIT_OK and "/" in spaced[1]
+
 
 class TestEstimateVerbs:
     def test_full_coefficient_estimate(self):
@@ -232,6 +239,34 @@ class TestEstimateVerbs:
         import math
 
         assert float(out.strip()) == pytest.approx(math.pi * math.sqrt(400.0), rel=1e-6)
+
+
+ZETA3 = 1.2020569031595942
+
+
+class TestOverflowingEstimates:
+    """A value past float range prints as mantissa and exponent, read off its logarithm."""
+
+    @pytest.mark.parametrize(
+        "argv, prefix, ln_value",
+        [
+            (["logasymp", "--triple", "1,0,0", "--form", "P", "--log10n", "500"], "",
+             lambda L: math.log(1.5 * (2 * ZETA3) ** (1 / 3)) + 2 * L / 3),
+            (["logasymp", "--triple", "0,0,1", "--form", "P", "--log10n", "700"], "",
+             lambda L: math.log(math.pi * math.sqrt(2 / 3)) + L / 2),
+            (["estimate", "--triple", "1,0,0", "--form", "P", "--log10n", "500"], "log_coeff_growth = ",
+             lambda L: math.log(1.5 * (2 * ZETA3) ** (1 / 3)) + 2 * L / 3),
+            (["estimate", "--triple", "0,0,1", "--form", "P", "--log10n", "400"], "ln_estimate = ",
+             lambda L: math.log(math.pi * math.sqrt(2 / 3)) + L / 2),
+        ],
+    )
+    def test_printed_from_the_logarithm(self, argv, prefix, ln_value):
+        status, out = run_cli(argv)
+        assert status == EXIT_OK
+        line = next(line for line in out.splitlines() if line.startswith(prefix))
+        mantissa, exponent = line[len(prefix):].split("e")
+        printed = math.log(float(mantissa)) + int(exponent) * math.log(10.0)
+        assert printed == pytest.approx(ln_value(float(argv[-1]) * math.log(10.0)), rel=1e-12)
 
 
 class TestBadIndex:
