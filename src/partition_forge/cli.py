@@ -233,11 +233,14 @@ def _cmd_weighted(args, out) -> int:
 
 
 def _growth_text(args, n, ln_n) -> str:
-    """log_coeff_asymptotic to 6 decimals; once it overflows, mantissa and exponent."""
+    """log_coeff_asymptotic to 6 decimals; past float range, mantissa and exponent."""
     try:
-        return f"{log_coeff_asymptotic(args.triple, args.form, n, ln_n=ln_n):.6f}"
+        value = log_coeff_asymptotic(args.triple, args.form, n, ln_n=ln_n)
     except OverflowError:
-        return CoeffEstimate(log_coeff_asymptotic_ln(args.triple, args.form, n, ln_n=ln_n)).scientific(12)
+        value = math.inf
+    if math.isfinite(value):
+        return f"{value:.6f}"
+    return CoeffEstimate(log_coeff_asymptotic_ln(args.triple, args.form, n, ln_n=ln_n)).scientific(12)
 
 
 def _cmd_estimate(args, out) -> int:
@@ -246,7 +249,12 @@ def _cmd_estimate(args, out) -> int:
     if model.capability == CAP_FULL:
         try:
             est = coeff_asymptotic(args.triple, args.form, n, ln_n=ln_n)
-            lines = [f"ln_estimate = {est.ln:.6f}", f"estimate ~ {est.scientific()}"]
+            if math.ulp(est.ln) >= 1.0:  # no decimal of ln means anything
+                lines = [f"ln_estimate = {CoeffEstimate(log(est.ln)).scientific(12)}"]
+            else:
+                lines = [f"ln_estimate = {est.ln:.6f}"]
+                if 10.0 * log(10.0) * math.ulp(est.log10) < 1e-3:  # an ulp moves the mantissa < 1e-3
+                    lines.append(f"estimate ~ {est.scientific()}")
         except OverflowError:  # past float range ln_estimate is its first-order law, to float precision
             ln_ln = log_coeff_asymptotic_ln(args.triple, args.form, n, ln_n=ln_n)
             lines = [f"ln_estimate = {CoeffEstimate(ln_ln).scientific(12)}"]

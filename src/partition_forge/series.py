@@ -1,6 +1,6 @@
 """Exact coefficient engines for the P/Q product families.
 
-Both engines run O(N^2) integer recurrences on the log-series weights
+Both engines run integer recurrences on the log-series weights
 W(L) = L * [z^L] log F(z):
 
 * the exponential recurrence for F = exp(G) with G_L = W(L)/L, scaled
@@ -19,8 +19,14 @@ W(L) = L * [z^L] log F(z):
       n * F_n = sum_{k=1..n} W(k) F_{n-k},   F_0 = 1,
 
   where for j = 0 W(k) equals sum_{d|k} d*psi(d) for P and the
-  sign-alternating analogue for Q.  The division by n is exact; an
-  ArithmeticError reports it if it ever is not.
+  sign-alternating analogue for Q.  W is known in advance, so the sum
+  runs semi-relaxed (van der Hoeven, "Relax, but don't be too lazy",
+  J. Symbolic Comput. 34, 2002): lags below 1024 term by term, and for
+  each b = 1024 * 2^r the block product F[a : a+b) * W[b : 2b), a a
+  multiple of b, once F[a : a+b) is known, as one big-integer multiply
+  by Kronecker substitution (Harvey, J. Symbolic Comput. 44, 2009).
+  The division by n is exact; an ArithmeticError reports it if it ever
+  is not.
 
 Values of any size render through ``to_decimal`` and parse through
 ``from_decimal``; both step past the interpreter's int/str digit limit
@@ -31,10 +37,11 @@ from __future__ import annotations
 
 import json
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, sub
 
 # psi_table and cycle_weight_weighted are not called here any more; they
 # stay importable from this module because perfbench/spans.py wraps them
@@ -54,6 +61,8 @@ KIND_EGF = "egf-numerator"
 KIND_OGF = "ogf"
 
 _DECIMAL_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+_NAIVE_LAGS = 1024  # lower cutoffs gain far more for small F than for large: slots fit the largest F
 
 
 @dataclass(frozen=True)
@@ -128,6 +137,24 @@ def egf_coeffs_weighted(t, v, upto: int) -> CoeffSequence:
     return CoeffSequence(t, "weighted", KIND_EGF, values, v=v)
 
 
+def _pack(xs: list[int], slot: int) -> int:
+    """The non-negative ints xs as one int, xs[i] in byte slot i (Kronecker substitution)."""
+    return int.from_bytes(b"".join([x.to_bytes(slot, "little") for x in xs]), "little")
+
+
+def _add_block_product(f: list[int], w: list[int], acc: list[int], start: int) -> None:
+    """acc[start + i] += sum_{p+q=i} f[p] * w[q] for f >= 0; w goes in split by sign."""
+    bits = max(f).bit_length() + max(map(abs, w)).bit_length() + len(f).bit_length() + 8
+    slot = (bits + 7) // 8
+    packed_f = _pack(f, slot)
+    span = len(f) + len(w) - 1
+    for op, part in ((add, [max(x, 0) for x in w]), (sub, [max(-x, 0) for x in w])):
+        if any(part):
+            data = (packed_f * _pack(part, slot)).to_bytes(slot * span, "little")
+            coeffs = [int.from_bytes(data[i : i + slot], "little") for i in range(0, span * slot, slot)]
+            acc[start : start + span] = map(op, acc[start : start + span], coeffs)
+
+
 def ogf_coeffs_euler(t, form: str, upto: int) -> CoeffSequence:
     """Ordinary coefficients [z^n] F(z) for a j = 0 triple, exact."""
     t = as_triple(t)
@@ -137,14 +164,23 @@ def ogf_coeffs_euler(t, form: str, upto: int) -> CoeffSequence:
     if upto < 0:
         raise ValueError("upto must be >= 0")
     c = cycle_weight_table(t, form, max(upto, 1))
-    values = [0] * (upto + 1)
-    values[0] = 1
+    short = c[1:_NAIVE_LAGS]
+    recent = deque([1], maxlen=_NAIVE_LAGS - 1)  # F_{n-1}, F_{n-2}, ..., newest first
+    values = [1] + [0] * upto
+    acc = [0] * (2 * upto + 1)  # sums over the lags k >= _NAIVE_LAGS; block targets run past upto
     for n in range(1, upto + 1):
-        s = sum(map(mul, c[1 : n + 1], values[n - 1 :: -1]))
+        s = acc[n] + sum(map(mul, short, recent))
         q, r = divmod(s, n)
         if r:
             raise ArithmeticError(f"inexact division at n={n} for triple {t}, form {form}")
         values[n] = q
+        recent.appendleft(q)
+        # F[n+1-b : n+1] is complete; of each factor only m terms reach a target <= upto
+        b = _NAIVE_LAGS
+        while (n + 1) % b == 0 and n < upto:
+            m = min(b, upto - n)
+            _add_block_product(values[n + 1 - b : n + 1 - b + m], c[b : b + m], acc, n + 1)
+            b *= 2
     return CoeffSequence(t, form, KIND_OGF, tuple(values))
 
 

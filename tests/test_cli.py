@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from partition_forge.asympt import coeff_asymptotic, log_coeff_asymptotic_ln
 from partition_forge.cli import (
     BFileError,
     BFileRecord,
@@ -258,6 +259,12 @@ class TestOverflowingEstimates:
              lambda L: math.log(1.5 * (2 * ZETA3) ** (1 / 3)) + 2 * L / 3),
             (["estimate", "--triple", "0,0,1", "--form", "P", "--log10n", "400"], "ln_estimate = ",
              lambda L: math.log(math.pi * math.sqrt(2 / 3)) + L / 2),
+            # the last product of log_coeff_asymptotic overflows to inf without raising
+            (["logasymp", "--triple", "2,0,0", "--form", "P", "--log10n", "461.9"], "",
+             lambda L: log_coeff_asymptotic_ln((2, 0, 0), "P", ln_n=L)),
+            # ln_estimate is a finite float, but too large for any of its decimals to mean anything
+            (["estimate", "--triple", "0,0,1", "--form", "P", "--log10n", "307.9"], "ln_estimate = ",
+             lambda L: math.log(math.pi * math.sqrt(2 / 3)) + L / 2),
         ],
     )
     def test_printed_from_the_logarithm(self, argv, prefix, ln_value):
@@ -267,6 +274,22 @@ class TestOverflowingEstimates:
         mantissa, exponent = line[len(prefix):].split("e")
         printed = math.log(float(mantissa)) + int(exponent) * math.log(10.0)
         assert printed == pytest.approx(ln_value(float(argv[-1]) * math.log(10.0)), rel=1e-12)
+
+
+class TestUnresolvedDigits:
+    """Digits below one ulp of the float they come from are not printed."""
+
+    @pytest.mark.parametrize("log10n", ["30", "307.9"])
+    def test_no_mantissa_below_float_resolution(self, log10n):
+        status, out = run_cli(["estimate", "--triple", "0,0,1", "--form", "P", "--log10n", log10n])
+        assert status == EXIT_OK
+        assert "estimate ~" not in out
+
+    def test_ln_decimals_kept_while_resolved(self):
+        status, out = run_cli(["estimate", "--triple", "0,0,1", "--form", "P", "--log10n", "30"])
+        ln = coeff_asymptotic((0, 0, 1), "P", ln_n=30 * math.log(10.0)).ln
+        assert status == EXIT_OK
+        assert out.splitlines()[1] == f"ln_estimate = {ln:.6f}"
 
 
 class TestBadIndex:

@@ -1,12 +1,18 @@
 import json
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
 import pytest
 
 from partition_forge import series
 from partition_forge.cli import parse_bfile
-from partition_forge.divisors import AdmissibleTriple, cycle_weight, cycle_weight_weighted
+from partition_forge.divisors import (
+    AdmissibleTriple,
+    cycle_weight,
+    cycle_weight_table,
+    cycle_weight_weighted,
+)
 from partition_forge.series import (
     CoeffSequence,
     egf_coeffs,
@@ -153,6 +159,53 @@ class TestOgfCoeffs:
         monkeypatch.setattr(series, "cycle_weight_table", lambda t, form, limit: [0, 1] + [0] * limit)
         with pytest.raises(ArithmeticError, match="inexact division at n=2"):
             ogf_coeffs_euler((0, 0, 1), "P", 3)
+
+    @pytest.mark.parametrize("lag, short_lags", [(97, 32), (1100, series._NAIVE_LAGS)])
+    def test_inexact_division_raises_inside_a_block_product(self, monkeypatch, lag, short_lags):
+        # W(lag) reaches target `lag` only through the product F[0:b) x W[b:2b)
+        # with b <= lag < 2b; one more unit there gives lag * F_lag = (its true value) + 1
+        def corrupted(t, form, limit):
+            table = cycle_weight_table(t, form, limit)
+            table[lag] += 1
+            return table
+
+        monkeypatch.setattr(series, "_NAIVE_LAGS", short_lags)
+        monkeypatch.setattr(series, "cycle_weight_table", corrupted)
+        with pytest.raises(ArithmeticError, match=f"inexact division at n={lag} "):
+            ogf_coeffs_euler((0, 0, 1), "P", lag + 50)
+
+
+def dot_product_ogf(t, form, upto):
+    """F_0..F_upto from n F_n = sum_{k<=n} W(k) F_{n-k}, one dot product per n."""
+    weights = cycle_weight_table(t, form, max(upto, 1))
+    values = [1]
+    for n in range(1, upto + 1):
+        q, r = divmod(sum(map(mul, weights[1 : n + 1], values[::-1])), n)
+        assert r == 0, n
+        values.append(q)
+    return tuple(values)
+
+
+ORDINARY_PAIRS = [(t, form) for t in SMALL_TRIPLES if t[1] == 0 for form in "PQ"]
+
+
+class TestOgfBlockKernel:
+    """The block-product kernel against the plain dot-product recurrence."""
+
+    @pytest.mark.parametrize("triple, form", ORDINARY_PAIRS)
+    def test_matches_dot_product_across_block_edges(self, monkeypatch, triple, form):
+        # block products from lag 32 on, so that short runs cross many block edges
+        monkeypatch.setattr(series, "_NAIVE_LAGS", 32)
+        reference = dot_product_ogf(triple, form, 300)
+        for upto in (0, 1, 2, 31, 32, 33, 63, 64, 65, 127, 128, 129, 300):
+            assert ogf_coeffs_euler(triple, form, upto).values == reference[: upto + 1], upto
+
+    @pytest.mark.parametrize("triple, form", [((0, 0, 1), "P"), ((1, 0, 0), "Q"), ((2, 0, 2), "P")])
+    def test_matches_dot_product_past_2000(self, triple, form):
+        b = series._NAIVE_LAGS
+        reference = dot_product_ogf(triple, form, 2 * b + 1)
+        for upto in (b - 1, b, b + 1, 2000, 2 * b + 1):
+            assert ogf_coeffs_euler(triple, form, upto).values == reference[: upto + 1], upto
 
 
 class TestSerialization:
