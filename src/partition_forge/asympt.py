@@ -504,6 +504,8 @@ def coeff_asymptotic(t, form: str, n: float | None = None, *, ln_n: float | None
             - 0.5 * log(d2 * abs(ln_x))
             + (1.0 - 2.0 * d2) * ln_x
         )
+    if not math.isfinite(ln_est):  # a product that overflowed to inf instead of raising
+        raise OverflowError(f"estimate out of float range at ln n = {L!r}")
     return CoeffEstimate(ln_est)
 
 

@@ -233,12 +233,12 @@ def _cmd_weighted(args, out) -> int:
 
 
 def _growth_text(args, n, ln_n) -> str:
-    """log_coeff_asymptotic to 6 decimals; past float range, mantissa and exponent."""
+    """log_coeff_asymptotic to 6 decimals; once an ulp of it is >= 1, mantissa and exponent."""
     try:
         value = log_coeff_asymptotic(args.triple, args.form, n, ln_n=ln_n)
     except OverflowError:
         value = math.inf
-    if math.isfinite(value):
+    if math.ulp(value) < 1.0:  # inf has an infinite ulp
         return f"{value:.6f}"
     return CoeffEstimate(log_coeff_asymptotic_ln(args.triple, args.form, n, ln_n=ln_n)).scientific(12)
 

@@ -120,34 +120,42 @@ def cycle_types(n: int):
     yield from descend(n, n)
 
 
-def cycle_type_sum(t, form: str, n: int) -> int:
-    """Independent count of the exponential numerator p_n (or q_n).
+def cycle_type_sums(t, form: str, upto: int) -> list[int]:
+    """Independent counts of the exponential numerators p_0..p_upto (or q_n).
 
-    Sums n!/z over all cycle types, each weighted by the product of the
-    per-cycle weights W(length).  Equals n! * [z^n] exp(sum W(L) z^L / L).
+    p_n sums n!/z over all cycle types of size n, each weighted by the
+    product of the per-cycle weights W(length); it equals
+    n! * [z^n] exp(sum W(L) z^L / L).  One walk over the cycle types,
+    parts in weakly decreasing order, visits every type of size <= upto.
     """
     t = as_triple(t)
     if form not in ("P", "Q"):
         raise ValueError(f"form must be 'P' or 'Q', got {form!r}")
-    if n < 0:
+    if upto < 0:
         raise ValueError("n must be >= 0")
     bound = _cycle_sum_bound()
-    if n > bound:
+    if upto > bound:
         raise ValueError(
-            f"n={n} exceeds the cycle-sum oracle bound {bound} "
+            f"n={upto} exceeds the cycle-sum oracle bound {bound} "
             f"(raise it with {_BOUND_ENV})"
         )
-    if n == 0:
-        return 1
-    weights = [0] + [_cycle_weight(t, length, form) for length in range(1, n + 1)]
-    total = 0
-    for ct in cycle_types(n):
-        w = 1
-        for part in ct.parts:
-            w *= weights[part]
-        if w:
-            total += ct.permutation_count() * w
-    return total
+    weights = [0] + [_cycle_weight(t, length, form) for length in range(1, upto + 1)]
+    totals = [0] * (upto + 1)
+
+    def descend(size, last, run, weight, z):
+        # a type of this size, weight and symmetry factor z whose last part occurs `run` times
+        totals[size] += factorial(size) // z * weight
+        for part in range(min(upto - size, last), 0, -1):
+            repeat = run + 1 if part == last else 1
+            descend(size + part, part, repeat, weight * weights[part], z * part * repeat)
+
+    descend(0, upto, 0, 1, 1)
+    return totals
+
+
+def cycle_type_sum(t, form: str, n: int) -> int:
+    """Independent count of the exponential numerator p_n (or q_n)."""
+    return cycle_type_sums(t, form, n)[n]
 
 
 def product_expand(t, form: str, upto: int) -> list[int]:

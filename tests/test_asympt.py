@@ -471,6 +471,13 @@ class TestCoeffAsymptotic:
         via_log = coeff_asymptotic((0, 1, 0), "Q", ln_n=math.log(512.0)).ln
         assert via_log == pytest.approx(direct, rel=1e-13)
 
+    def test_overflowing_estimate_raises(self):
+        # 2 * exp(ln n) overflows to inf without raising just under the exp limit
+        L = 308 * math.log(10.0)
+        assert math.exp(L) < math.inf
+        with pytest.raises(OverflowError):
+            coeff_asymptotic((0, 0, 1), "P", ln_n=L)
+
 
 class TestKotesovecRatio:
     def test_small_index(self):

@@ -265,6 +265,9 @@ class TestOverflowingEstimates:
             # ln_estimate is a finite float, but too large for any of its decimals to mean anything
             (["estimate", "--triple", "0,0,1", "--form", "P", "--log10n", "307.9"], "ln_estimate = ",
              lambda L: math.log(math.pi * math.sqrt(2 / 3)) + L / 2),
+            # finite, but an ulp of it is far above 1, so no decimal of it means anything
+            (["logasymp", "--triple", "2,0,0", "--form", "P", "--log10n", "400"], "",
+             lambda L: log_coeff_asymptotic_ln((2, 0, 0), "P", ln_n=L)),
         ],
     )
     def test_printed_from_the_logarithm(self, argv, prefix, ln_value):

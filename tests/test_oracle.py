@@ -1,11 +1,13 @@
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
+from partition_forge.divisors import cycle_weight
 from partition_forge.oracle import (
     CYCLE_SUM_BOUND,
     CycleType,
     cycle_type_sum,
+    cycle_type_sums,
     cycle_types,
     product_expand,
 )
@@ -61,6 +63,30 @@ class TestCycleTypeSum:
         seq = egf_coeffs(triple, form, 20)
         for n in range(21):
             assert cycle_type_sum(triple, form, n) == seq.values[n]
+
+
+class TestCycleTypeSums:
+    @pytest.mark.parametrize("triple", [(0, 1, 0), (2, 0, 1), (1, 2, 2)])
+    @pytest.mark.parametrize("form", ["P", "Q"])
+    def test_matches_a_sum_over_the_types_of_each_size(self, triple, form):
+        # the one walk over all sizes against cycle_types(n), one size at a time
+        weights = [0] + [cycle_weight(triple, length, form) for length in range(1, 13)]
+        expected = [
+            sum(ct.permutation_count() * prod(weights[part] for part in ct.parts) for ct in cycle_types(n))
+            for n in range(13)
+        ]
+        assert cycle_type_sums(triple, form, 12) == expected
+
+    def test_small_prefixes(self):
+        assert cycle_type_sums((0, 1, 0), "P", 4) == [1, 1, 3, 11, 59]
+        assert cycle_type_sums((2, 1, 2), "Q", 0) == [1]
+
+    def test_bound_enforced(self, monkeypatch):
+        with pytest.raises(ValueError, match="oracle bound"):
+            cycle_type_sums((0, 1, 0), "P", CYCLE_SUM_BOUND + 1)
+        monkeypatch.setenv("PARTITION_FORGE_ORACLE_BOUND", "x")
+        with pytest.raises(ValueError, match="PARTITION_FORGE_ORACLE_BOUND"):
+            cycle_type_sums((0, 1, 0), "P", 3)
 
 
 class TestProductExpand:

@@ -208,6 +208,53 @@ class TestOgfBlockKernel:
             assert ogf_coeffs_euler(triple, form, upto).values == reference[: upto + 1], upto
 
 
+def horner_exp_numerators(weights, upto):
+    """p_0..p_upto from p_m = sum_{j<m} W(m-j) p_j (j+1)...(m-1), by Horner's rule in j."""
+    p = [1] + [0] * upto
+    for m in range(1, upto + 1):
+        acc = 0
+        for j, w, pj in zip(range(m), weights[m:0:-1], p):
+            acc = acc * j + w * pj
+        p[m] = acc
+    return p
+
+
+EXP_PAIRS = [(t, form) for t in SMALL_TRIPLES for form in "PQ"]
+SHORT_BLOCK_UPTOS = (0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 300)
+
+
+class TestExpBlockKernel:
+    """The block kernel against the plain Horner loop."""
+
+    @pytest.mark.parametrize("triple, form", EXP_PAIRS)
+    def test_matches_horner_across_block_edges(self, monkeypatch, triple, form):
+        # blocks of 8, so that short runs cross many block edges
+        monkeypatch.setattr(series, "_EXP_BLOCK", 8)
+        reference = horner_exp_numerators(cycle_weight_table(triple, form, 300), 300)
+        for upto in SHORT_BLOCK_UPTOS:
+            assert list(egf_coeffs(triple, form, upto).values) == reference[: upto + 1], upto
+
+    @pytest.mark.parametrize("triple, form", [((0, 1, 0), "P"), ((2, 2, 2), "Q"), ((1, 0, 1), "P")])
+    def test_matches_horner_at_the_real_block_size(self, triple, form):
+        r = series._EXP_BLOCK
+        reference = horner_exp_numerators(cycle_weight_table(triple, form, 800), 800)
+        for upto in (2 * r - 1, 2 * r, 2 * r + 1, 800):
+            assert list(egf_coeffs(triple, form, upto).values) == reference[: upto + 1], upto
+
+    @pytest.mark.parametrize("v", ["1/3", "-2/3", "3/4"])
+    @pytest.mark.parametrize("triple", [(0, 1, 0), (1, 2, 1)])
+    def test_weighted_matches_horner_across_block_edges(self, monkeypatch, triple, v):
+        monkeypatch.setattr(series, "_EXP_BLOCK", 8)
+        v = Fraction(v)
+        scale = [v.denominator ** (2 * k) for k in range(301)]
+        weights = [0] + [cycle_weight_weighted(triple, k, v) * scale[k] for k in range(1, 301)]
+        assert all(w.denominator == 1 for w in weights[1:])
+        numerators = horner_exp_numerators([int(w) for w in weights], 300)
+        reference = [Fraction(x, scale[m]) for m, x in enumerate(numerators)]
+        for upto in SHORT_BLOCK_UPTOS:
+            assert list(egf_coeffs_weighted(triple, v, upto).values) == reference[: upto + 1], upto
+
+
 class TestSerialization:
     def test_bfile_round_trip(self):
         seq = ogf_coeffs_euler((0, 0, 1), "P", 40)
