@@ -77,6 +77,14 @@ class TestCycleTypeSums:
         ]
         assert cycle_type_sums(triple, form, 12) == expected
 
+    @pytest.mark.parametrize(
+        "triple, form",
+        [((0, 1, 0), "P"), ((0, 2, 0), "Q"), ((0, 0, 1), "Q"), ((1, 0, 1), "P"), ((2, 1, 0), "P"), ((2, 2, 2), "Q")],
+    )
+    def test_reaches_the_first_block_of_the_exponential_kernel(self, triple, form):
+        # the recurrence's first block dot product runs at m = 32 (blocks of 32)
+        assert cycle_type_sums(triple, form, 33) == list(egf_coeffs(triple, form, 33).values)
+
     def test_small_prefixes(self):
         assert cycle_type_sums((0, 1, 0), "P", 4) == [1, 1, 3, 11, 59]
         assert cycle_type_sums((2, 1, 2), "Q", 0) == [1]

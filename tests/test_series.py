@@ -1,6 +1,8 @@
 import json
+import random
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial
 from operator import mul
 
 import pytest
@@ -38,6 +40,7 @@ ROUTE_TRIPLES += [t for t in SMALL_TRIPLES if t not in ROUTE_TRIPLES]
 
 # above the interpreter's 4300-digit int<->str limit
 BIG = 7 ** 6000 + 12345
+MERSENNE_61 = 2 ** 61 - 1
 
 
 def exp_series_rational(t, form, upto):
@@ -174,7 +177,20 @@ class TestOgfCoeffs:
         with pytest.raises(ArithmeticError, match=f"inexact division at n={lag} "):
             ogf_coeffs_euler((0, 0, 1), "P", lag + 50)
 
+    def test_inexact_division_raises_at_a_packed_lag(self, monkeypatch):
+        # lag 5 >= _PACK is summed in the packed dot product, not term by term
+        def corrupted(t, form, limit):
+            table = cycle_weight_table(t, form, limit)
+            table[5] += 1
+            return table
 
+        assert series._PACK <= 5
+        monkeypatch.setattr(series, "cycle_weight_table", corrupted)
+        with pytest.raises(ArithmeticError, match="inexact division at n=5 "):
+            ogf_coeffs_euler((0, 0, 1), "Q", 20)
+
+
+@lru_cache(maxsize=None)
 def dot_product_ogf(t, form, upto):
     """F_0..F_upto from n F_n = sum_{k<=n} W(k) F_{n-k}, one dot product per n."""
     weights = cycle_weight_table(t, form, max(upto, 1))
@@ -199,6 +215,29 @@ class TestOgfBlockKernel:
         reference = dot_product_ogf(triple, form, 300)
         for upto in (0, 1, 2, 31, 32, 33, 63, 64, 65, 127, 128, 129, 300):
             assert ogf_coeffs_euler(triple, form, upto).values == reference[: upto + 1], upto
+
+    @pytest.mark.parametrize("pack", [1, 3, 4])
+    @pytest.mark.parametrize("triple, form", ORDINARY_PAIRS)
+    def test_matches_dot_product_at_other_pack_widths(self, monkeypatch, triple, form, pack):
+        # w targets per packed dot product; lags below w run term by term
+        monkeypatch.setattr(series, "_PACK", pack)
+        reference = dot_product_ogf(triple, form, 300)
+        for short_lags in (32, 1024):
+            monkeypatch.setattr(series, "_NAIVE_LAGS", short_lags)
+            for upto in sorted({0, 1, 2, 3, pack - 1, pack, pack + 1, 31, 32, 33, 63, 64, 65, 300}):
+                assert ogf_coeffs_euler(triple, form, upto).values == reference[: upto + 1], (short_lags, upto)
+
+    @pytest.mark.parametrize("pack", [1, 2, 3, 4])
+    def test_negative_slot_sums(self, monkeypatch, pack):
+        # W(k) = 5 (-2)^k is W of F = (1 + 2z)^-5, F_n = (-2)^n C(n+4, 4): every slot sum
+        # alternates in sign, where no sum of the real j = 0 weights goes negative
+        monkeypatch.setattr(series, "_PACK", pack)
+        monkeypatch.setattr(
+            series, "cycle_weight_table", lambda t, form, limit: [0] + [5 * (-2) ** k for k in range(1, limit + 1)]
+        )
+        expected = tuple((-2) ** n * comb(n + 4, 4) for n in range(301))
+        for upto in (0, 1, 2, 3, 4, 5, 33, 300):
+            assert ogf_coeffs_euler((0, 0, 1), "P", upto).values == expected[: upto + 1], upto
 
     @pytest.mark.parametrize("triple, form", [((0, 0, 1), "P"), ((1, 0, 0), "Q"), ((2, 0, 2), "P")])
     def test_matches_dot_product_past_2000(self, triple, form):
@@ -295,6 +334,21 @@ class TestSerialization:
         assert to_decimal(Fraction(-6, 3)) == "-2"
         assert to_decimal(Fraction(1, 2)) == str(Fraction(1, 2))
         assert from_decimal("+12") == 12
+
+    @pytest.mark.parametrize("digits", [4301, 10**4 + 1, 65537, 10**5])
+    def test_decimal_round_trip_of_random_digits(self, digits):
+        rng = random.Random(digits)
+        text = str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=digits - 1))
+        residue = 0  # the value mod 2^61 - 1, by Horner's rule over the digits
+        for ch in text:
+            residue = (residue * 10 + int(ch)) % MERSENNE_61
+        value = from_decimal(text)
+        assert value % MERSENNE_61 == residue
+        assert to_decimal(value) == text
+        assert from_decimal("-" + text) == -value
+        assert to_decimal(-value) == "-" + text
+        seq = CoeffSequence(AdmissibleTriple(0, 0, 1), "P", "ogf", (1, value, -value))
+        assert tuple(r.value for r in parse_bfile(to_bfile(seq))) == (1, value, -value)
 
     @pytest.mark.parametrize(
         "token",
