@@ -403,7 +403,10 @@ class CoeffEstimate:
         return 10.0 ** (self.log10 - self.exponent10)
 
     def scientific(self, digits: int = 3) -> str:
-        return f"{self.mantissa:.{digits}f}e{self.exponent10:+d}"
+        mantissa, exponent = f"{self.mantissa:.{digits}f}", self.exponent10
+        if float(mantissa) >= 10.0:  # rounded up to 10: carry into the exponent
+            mantissa, exponent = f"{1:.{digits}f}", exponent + 1
+        return f"{mantissa}e{exponent:+d}"
 
     @property
     def value(self) -> float:

@@ -249,8 +249,9 @@ def _cmd_estimate(args, out) -> int:
     if model.capability == CAP_FULL:
         try:
             est = coeff_asymptotic(args.triple, args.form, n, ln_n=ln_n)
-            if math.ulp(est.ln) >= 1.0:  # no decimal of ln means anything
-                lines = [f"ln_estimate = {CoeffEstimate(log(est.ln)).scientific(12)}"]
+            if math.ulp(est.ln) >= 1.0:  # no decimal of ln means anything: print the sign and |ln|
+                sign = "-" if est.ln < 0 else ""
+                lines = [f"ln_estimate = {sign}{CoeffEstimate(log(abs(est.ln))).scientific(12)}"]
             else:
                 lines = [f"ln_estimate = {est.ln:.6f}"]
                 if 10.0 * log(10.0) * math.ulp(est.log10) < 1e-3:  # an ulp moves the mantissa < 1e-3

@@ -80,9 +80,6 @@ class CycleType:
     def size(self) -> int:
         return sum(self.parts)
 
-    def multiplicity(self, m: int) -> int:
-        return self.parts.count(m)
-
     def symmetry_factor(self) -> int:
         """z = prod_m m^(c_m) c_m!; n!/z permutations share this cycle type."""
         z = 1

@@ -28,15 +28,11 @@ W(L) = L * [z^L] log F(z):
   where for j = 0 W(k) equals sum_{d|k} d*psi(d) for P and the
   sign-alternating analogue for Q.  W is known in advance, so the sum
   runs semi-relaxed (van der Hoeven, "Relax, but don't be too lazy",
-  J. Symbolic Comput. 34, 2002): lags below 1024 as sums, and for each
-  b = 1024 * 2^r the block product F[a : a+b) * W[b : 2b), a a multiple
-  of b, once F[a : a+b) is known, as one big-integer multiply by
-  Kronecker substitution (Harvey, J. Symbolic Comput. 44, 2009).  The
-  short lags run w = 2 targets at a time: the last ~1024 packed entries
-  H_j = sum_{s<w} F_{j+s} 2^(s*S) give, in signed slot s of one dot
-  product with W, the lags w..1023 of target n0+s; only lags below w
-  run term by term.  S covers the largest slot sum and doubles, with a
-  repack of the live entries, when F outgrows it.
+  J. Symbolic Comput. 34, 2002): the lags below 512 as one dot product
+  per target, and for each b = 512 * 2^r the block product
+  F[a : a+b) * W[b : 2b), a a multiple of b, once F[a : a+b) is known,
+  as one big-integer multiply by Kronecker substitution (Harvey,
+  J. Symbolic Comput. 44, 2009).
   The division by n is exact; an ArithmeticError reports it if it ever
   is not.
 
@@ -75,8 +71,7 @@ KIND_OGF = "ogf"
 
 _DECIMAL_TOKEN = re.compile(r"[+-]?[0-9]+")
 
-_NAIVE_LAGS = 1024  # lower cutoffs gain far more for small F than for large: slots fit the largest F
-_PACK = 2  # OGF targets per packed short-lag dot product: 3 and 4 ran faster but spread past the benchmark bound
+_NAIVE_LAGS = 512  # OGF lags below it run as sums: 256 ran faster, but its gain varied by pair past the benchmark's spread bound
 _EXP_BLOCK = 32  # j-block size of the exponential recurrence: tied with 64 at N <= 1600, with narrower q
 
 
@@ -194,41 +189,23 @@ def ogf_coeffs_euler(t, form: str, upto: int) -> CoeffSequence:
     if upto < 0:
         raise ValueError("upto must be >= 0")
     c = cycle_weight_table(t, form, max(upto, 1))
-    w, short, packed_c = _PACK, c[1:_PACK], c[_PACK:_NAIVE_LAGS]
-    margin = max(map(abs, c[1:_NAIVE_LAGS])).bit_length() + _NAIVE_LAGS.bit_length() + 1
-    values = [1] + [0] * (upto + w)  # the tail stays 0: the slots of the last group's packed entries
+    short = c[1:_NAIVE_LAGS]
+    recent = deque([1], maxlen=_NAIVE_LAGS - 1)  # F_{n-1}, F_{n-2}, ..., newest first
+    values = [1] + [0] * upto
     acc = [0] * (2 * upto + 1)  # sums over the lags k >= _NAIVE_LAGS; block targets run past upto
-    recent = deque([1], maxlen=w - 1)  # F_{n-1}, ..., F_{n-w+1}, newest first
-    history = deque(maxlen=_NAIVE_LAGS - w)  # H_{n0-w}, H_{n0-w-1}, ..., newest first
-    slot = 0
-
-    def packed(j):  # H_j = sum_{s<w} F_{j+s} 2^(s*slot), F at a negative index = 0
-        return sum(values[i] << (i - j) * slot for i in range(max(j, 0), j + w))
-
-    for n0 in range(1, upto + 1, w):  # targets n0..n0+w-1; slot s of the dot product is target n0+s
-        need = max(map(int.bit_length, values[max(n0 - w, 0) : n0])) + margin
-        if need > slot:  # every slot sum fits in slot-1 bits and a sign: widen, repack the live history
-            slot = max(2 * slot, need)
-            mask, half = (1 << slot) - 1, 1 << slot - 1
-            bias = sum(half << s * slot for s in range(w))  # lifts each signed slot to [0, 2^slot)
-            history = deque(map(packed, range(n0 - w, max(n0 - w - history.maxlen, -w), -1)), history.maxlen)
-        total = sum(map(mul, packed_c, history)) + bias
-        for n in range(n0, min(n0 + w, upto + 1)):
-            s = acc[n] + (total & mask) - half + sum(map(mul, short, recent))
-            total >>= slot
-            q, r = divmod(s, n)
-            if r:
-                raise ArithmeticError(f"inexact division at n={n} for triple {t}, form {form}")
-            values[n] = q
-            recent.appendleft(q)
-            # F[n+1-b : n+1] is complete; of each factor only m terms reach a target <= upto
-            b = _NAIVE_LAGS
-            while (n + 1) % b == 0 and n < upto:
-                m = min(b, upto - n)
-                _add_block_product(values[n + 1 - b : n + 1 - b + m], c[b : b + m], acc, n + 1)
-                b *= 2
-        history.extendleft(map(packed, range(n0 - w + 1, n0 + 1)))
-    return CoeffSequence(t, form, KIND_OGF, tuple(values[: upto + 1]))
+    for n in range(1, upto + 1):
+        q, r = divmod(acc[n] + sum(map(mul, short, recent)), n)
+        if r:
+            raise ArithmeticError(f"inexact division at n={n} for triple {t}, form {form}")
+        values[n] = q
+        recent.appendleft(q)
+        # F[n+1-b : n+1] is complete; of each factor only m terms reach a target <= upto
+        b = _NAIVE_LAGS
+        while (n + 1) % b == 0 and n < upto:
+            m = min(b, upto - n)
+            _add_block_product(values[n + 1 - b : n + 1 - b + m], c[b : b + m], acc, n + 1)
+            b *= 2
+    return CoeffSequence(t, form, KIND_OGF, tuple(values))
 
 
 def _to_decimal_exact(n: int) -> Decimal:
@@ -278,12 +255,9 @@ def from_decimal(token: str) -> int:
         return -value if token[0] == "-" else value
 
 
-def to_bfile(seq: CoeffSequence, start_index: int = 0) -> str:
+def to_bfile(seq: CoeffSequence) -> str:
     """Render a sequence as b-file text: one ascii 'index value' pair per line."""
-    lines = []
-    for n, value in enumerate(seq.values):
-        lines.append(f"{start_index + n} {to_decimal(value)}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{n} {to_decimal(value)}\n" for n, value in enumerate(seq.values))
 
 
 def to_json(seq: CoeffSequence) -> str:

@@ -8,6 +8,7 @@ from partition_forge.asympt import (
     CAP_FULL,
     CAP_LOG,
     CONSTANTS,
+    CoeffEstimate,
     NoClosedFormError,
     NotTabulatedError,
     PoleAbsentError,
@@ -465,6 +466,16 @@ class TestCoeffAsymptotic:
         assert est.exponent10 == 8
         assert 1.0 <= est.mantissa < 10.0
         assert est.value == pytest.approx(math.exp(est.ln), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "ln, text",
+        [
+            (6 * math.log(10.0) - 1e-6, "1.000e+6"),  # mantissa 9.99999000...
+            (-4.6051702, "1.000e-2"),  # mantissa 9.9999998...
+        ],
+    )
+    def test_mantissa_rounded_up_to_ten_carries(self, ln, text):
+        assert CoeffEstimate(ln).scientific() == text
 
     def test_log_mode_matches_direct(self):
         direct = coeff_asymptotic((0, 1, 0), "Q", 512.0).ln

@@ -234,6 +234,23 @@ class TestEstimateVerbs:
         assert status == EXIT_OK
         assert "ln_estimate" in out
 
+    def test_negative_ln_estimate_past_float_resolution(self):
+        # ln_estimate ~ -7.07e16 has an ulp of 16: it prints as a sign and the mantissa and exponent of |ln|
+        status, out = run_cli(["estimate", "--triple", "0,1,0", "--form", "Q", "--log10n", "1e17"])
+        assert status == EXIT_OK
+        prefix = "ln_estimate = -"
+        line = out.splitlines()[1]
+        assert line.startswith(prefix)
+        mantissa, exponent = line[len(prefix):].split("e")
+        ln = coeff_asymptotic((0, 1, 0), "Q", ln_n=1e17 * math.log(10.0)).ln
+        assert -float(mantissa) * 10.0 ** int(exponent) == pytest.approx(ln, rel=1e-12)
+
+    def test_mantissa_rounded_up_to_ten_carries(self):
+        # the estimate is 9.9999998...e-3, which rounds to 1.000e-2 at three decimals
+        status, out = run_cli(["estimate", "--triple", "0,1,0", "--form", "Q", "--log10n", "6.524673201"])
+        assert status == EXIT_OK
+        assert out.splitlines()[2] == "estimate ~ 1.000e-2"
+
     def test_logasymp(self):
         status, out = run_cli(["logasymp", "--triple", "0,0,1", "--form", "P", "--n", "600"])
         assert status == EXIT_OK

@@ -163,7 +163,7 @@ class TestOgfCoeffs:
         with pytest.raises(ArithmeticError, match="inexact division at n=2"):
             ogf_coeffs_euler((0, 0, 1), "P", 3)
 
-    @pytest.mark.parametrize("lag, short_lags", [(97, 32), (1100, series._NAIVE_LAGS)])
+    @pytest.mark.parametrize("lag, short_lags", [(97, 32), (1100, 1024), (1100, series._NAIVE_LAGS)])
     def test_inexact_division_raises_inside_a_block_product(self, monkeypatch, lag, short_lags):
         # W(lag) reaches target `lag` only through the product F[0:b) x W[b:2b)
         # with b <= lag < 2b; one more unit there gives lag * F_lag = (its true value) + 1
@@ -178,13 +178,12 @@ class TestOgfCoeffs:
             ogf_coeffs_euler((0, 0, 1), "P", lag + 50)
 
     def test_inexact_division_raises_at_a_packed_lag(self, monkeypatch):
-        # lag 5 >= _PACK is summed in the packed dot product, not term by term
+        # lag 5 < _NAIVE_LAGS is summed in the short-lag dot product, not in a block product
         def corrupted(t, form, limit):
             table = cycle_weight_table(t, form, limit)
             table[5] += 1
             return table
 
-        assert series._PACK <= 5
         monkeypatch.setattr(series, "cycle_weight_table", corrupted)
         with pytest.raises(ArithmeticError, match="inexact division at n=5 "):
             ogf_coeffs_euler((0, 0, 1), "Q", 20)
@@ -210,39 +209,44 @@ class TestOgfBlockKernel:
 
     @pytest.mark.parametrize("triple, form", ORDINARY_PAIRS)
     def test_matches_dot_product_across_block_edges(self, monkeypatch, triple, form):
-        # block products from lag 32 on, so that short runs cross many block edges
-        monkeypatch.setattr(series, "_NAIVE_LAGS", 32)
+        # block products from a low cutoff on, so that short runs cross many block edges;
+        # cutoff 1 is not valid: F_0's lag-1 term reaches target 1 only through the short sum
         reference = dot_product_ogf(triple, form, 300)
-        for upto in (0, 1, 2, 31, 32, 33, 63, 64, 65, 127, 128, 129, 300):
-            assert ogf_coeffs_euler(triple, form, upto).values == reference[: upto + 1], upto
-
-    @pytest.mark.parametrize("pack", [1, 3, 4])
-    @pytest.mark.parametrize("triple, form", ORDINARY_PAIRS)
-    def test_matches_dot_product_at_other_pack_widths(self, monkeypatch, triple, form, pack):
-        # w targets per packed dot product; lags below w run term by term
-        monkeypatch.setattr(series, "_PACK", pack)
-        reference = dot_product_ogf(triple, form, 300)
-        for short_lags in (32, 1024):
+        for short_lags in (2, 3, 32, 64):
             monkeypatch.setattr(series, "_NAIVE_LAGS", short_lags)
-            for upto in sorted({0, 1, 2, 3, pack - 1, pack, pack + 1, 31, 32, 33, 63, 64, 65, 300}):
+            for upto in (0, 1, 2, 31, 32, 33, 63, 64, 65, 127, 128, 129, 300):
                 assert ogf_coeffs_euler(triple, form, upto).values == reference[: upto + 1], (short_lags, upto)
 
-    @pytest.mark.parametrize("pack", [1, 2, 3, 4])
-    def test_negative_slot_sums(self, monkeypatch, pack):
-        # W(k) = 5 (-2)^k is W of F = (1 + 2z)^-5, F_n = (-2)^n C(n+4, 4): every slot sum
-        # alternates in sign, where no sum of the real j = 0 weights goes negative
-        monkeypatch.setattr(series, "_PACK", pack)
+    @pytest.mark.parametrize("width", [1, 3, 4])
+    @pytest.mark.parametrize("triple, form", ORDINARY_PAIRS)
+    def test_matches_dot_product_at_other_pack_widths(self, monkeypatch, triple, form, width):
+        # a run that ends `width` terms past a block edge cuts every block product started
+        # there to `width` terms per Kronecker pack
+        reference = dot_product_ogf(triple, form, 300)
+        for short_lags in (3, 32):
+            monkeypatch.setattr(series, "_NAIVE_LAGS", short_lags)
+            edge = short_lags
+            while edge + width <= 300:
+                upto = edge - 1 + width
+                assert ogf_coeffs_euler(triple, form, upto).values == reference[: upto + 1], (short_lags, upto)
+                edge *= 2
+
+    @pytest.mark.parametrize("ratio", [1, 2, 3, 4])
+    def test_negative_slot_sums(self, monkeypatch, ratio):
+        # with a = ratio, W(k) = 5 (-a)^k is W of F = (1 + az)^-5, F_n = (-a)^n C(n+4, 4): every short-lag sum
+        # alternates in sign, where no sum of the real j = 0 weights goes negative; the uptos
+        # stay below _NAIVE_LAGS, as block products take F >= 0
         monkeypatch.setattr(
-            series, "cycle_weight_table", lambda t, form, limit: [0] + [5 * (-2) ** k for k in range(1, limit + 1)]
+            series, "cycle_weight_table", lambda t, form, limit: [0] + [5 * (-ratio) ** k for k in range(1, limit + 1)]
         )
-        expected = tuple((-2) ** n * comb(n + 4, 4) for n in range(301))
+        expected = tuple((-ratio) ** n * comb(n + 4, 4) for n in range(301))
         for upto in (0, 1, 2, 3, 4, 5, 33, 300):
             assert ogf_coeffs_euler((0, 0, 1), "P", upto).values == expected[: upto + 1], upto
 
     @pytest.mark.parametrize("triple, form", [((0, 0, 1), "P"), ((1, 0, 0), "Q"), ((2, 0, 2), "P")])
     def test_matches_dot_product_past_2000(self, triple, form):
         b = series._NAIVE_LAGS
-        reference = dot_product_ogf(triple, form, 2 * b + 1)
+        reference = dot_product_ogf(triple, form, max(2000, 2 * b + 1))
         for upto in (b - 1, b, b + 1, 2000, 2 * b + 1):
             assert ogf_coeffs_euler(triple, form, upto).values == reference[: upto + 1], upto
 
