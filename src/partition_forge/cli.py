@@ -78,15 +78,10 @@ def parse_bfile(text: str) -> list[BFileRecord]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise BFileError(f"malformed line {lineno}: expected two integer tokens, got {raw!r}")
-        try:
-            index, value = from_decimal(tokens[0]), from_decimal(tokens[1])
+        try:  # a bad token and a wrong token count both raise ValueError
+            index, value = map(from_decimal, line.split())
         except ValueError:
-            raise BFileError(
-                f"malformed line {lineno}: expected two integer tokens, got {raw!r}"
-            ) from None
+            raise BFileError(f"malformed line {lineno}: expected two integer tokens, got {raw!r}") from None
         if records and index <= records[-1].index:
             raise BFileError(f"non-increasing index at line {lineno}")
         records.append(BFileRecord(index, value))
@@ -135,6 +130,17 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}") from None
 
 
+def _add_verb(sub, name: str, handler, *, triple: bool = True, form: bool = True, **kwargs):
+    """Declare one verb: its subparser, bound to `handler`, with --triple and a required --form."""
+    p = sub.add_parser(name, **kwargs)
+    p.set_defaults(handler=handler)
+    if triple:
+        p.add_argument("--triple", type=_triple_arg, required=True, metavar="I,J,K")
+    if form:
+        p.add_argument("--form", choices=("P", "Q"), required=True)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="partition-forge",
@@ -142,55 +148,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", metavar="VERB")
 
-    p = sub.add_parser("coeffs", help="exact coefficient run for a triple")
-    p.add_argument("--triple", type=_triple_arg, required=True, metavar="I,J,K")
-    p.add_argument("--form", choices=("P", "Q"), required=True)
+    p = _add_verb(sub, "coeffs", _cmd_coeffs, help="exact coefficient run for a triple")
     p.add_argument("--n", type=int, required=True, metavar="N")
     p.add_argument("--ogf", action="store_true", help="ordinary coefficients (requires J = 0)")
     p.add_argument("--format", choices=("plain", "bfile", "tsv", "json"), default="plain")
 
-    p = sub.add_parser("weighted", help="rational coefficients of the v-weighted family")
-    p.add_argument("--triple", type=_triple_arg, required=True, metavar="I,J,K")
+    p = _add_verb(sub, "weighted", _cmd_weighted, form=False,
+                  help="rational coefficients of the v-weighted family")
     p.add_argument("--v", type=_fraction_arg, required=True, metavar="NUM/DEN")
     # argparse takes a dash token for an option unless it looks like a number; -7/2 is one
     p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     p.add_argument("--n", type=int, required=True, metavar="N")
 
-    for verb, help_text in (
-        ("estimate", "closed-form coefficient estimate (log scale)"),
-        ("logasymp", "first-order growth of log [z^n]F(z)"),
+    for verb, handler, help_text in (
+        ("estimate", _cmd_estimate, "closed-form coefficient estimate (log scale)"),
+        ("logasymp", _cmd_logasymp, "first-order growth of log [z^n]F(z)"),
     ):
-        p = sub.add_parser(verb, help=help_text)
-        p.add_argument("--triple", type=_triple_arg, required=True, metavar="I,J,K")
-        p.add_argument("--form", choices=("P", "Q"), required=True)
-        group = p.add_mutually_exclusive_group(required=True)
+        group = _add_verb(sub, verb, handler, help=help_text).add_mutually_exclusive_group(required=True)
         group.add_argument("--n", type=float)
         group.add_argument("--log10n", type=float, metavar="X")
 
-    p = sub.add_parser("table-w", help="ratio w_n^2/ln^2(n) rows, 4 decimals")
+    p = _add_verb(sub, "table-w", _cmd_table_w, triple=False, form=False,
+                  help="ratio w_n^2/ln^2(n) rows, 4 decimals")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--n-list", metavar="N1,N2,...")
     group.add_argument("--log10n-list", metavar="X1,X2,...")
 
-    p = sub.add_parser("figure1", help="three-estimate comparison data, TSV")
+    p = _add_verb(sub, "figure1", _cmd_figure1, triple=False, form=False,
+                  help="three-estimate comparison data, TSV")
     p.add_argument("--nmax", type=int, required=True)
 
-    p = sub.add_parser("compare", help="compare a computed run against an OEIS b-file")
-    p.add_argument("--triple", type=_triple_arg, required=True, metavar="I,J,K")
-    p.add_argument("--form", choices=("P", "Q"), required=True)
+    p = _add_verb(sub, "compare", _cmd_compare, help="compare a computed run against an OEIS b-file")
     p.add_argument("--bfile", required=True, metavar="PATH")
     p.add_argument("--offset", type=int, default=0, metavar="K")
     p.add_argument("--ogf", action="store_true")
     p.add_argument(
-        "--limit",
-        type=int,
-        default=DEFAULT_COMPARE_LIMIT,
-        help=f"cap on computed terms (default {DEFAULT_COMPARE_LIMIT})",
+        "--limit", type=int, default=DEFAULT_COMPARE_LIMIT, help="cap on computed terms (default %(default)s)"
     )
 
-    # debugging verb, hidden from the listing
-    p = sub.add_parser("oracle")
-    p.add_argument("--triple", type=_triple_arg, required=True, metavar="I,J,K")
+    # debugging verb: no help, so hidden from the listing; --form defaults to P
+    p = _add_verb(sub, "oracle", _cmd_oracle, form=False)
     p.add_argument("--form", choices=("P", "Q"), default="P")
     p.add_argument("--n", type=int, required=True)
 
@@ -200,11 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _print_sequence(seq: CoeffSequence, fmt: str, out) -> None:
     if fmt == "plain":
         print(" ".join(to_decimal(v) for v in seq.values), file=out)
-    elif fmt == "bfile":
-        out.write(to_bfile(seq))
-    elif fmt == "tsv":
-        for n, v in enumerate(seq.values):
-            print(f"{n}\t{to_decimal(v)}", file=out)
+    elif fmt in ("bfile", "tsv"):
+        text = to_bfile(seq)
+        out.write(text if fmt == "bfile" else text.replace(" ", "\t"))
     else:
         print(to_json(seq), file=out)
 
@@ -232,15 +227,20 @@ def _cmd_weighted(args, out) -> int:
     return EXIT_OK
 
 
+def _log_scale_text(x: float, ln_abs) -> str:
+    """x to 6 decimals while an ulp of it is below 1; past that, its sign and |x| read off ln|x| = ln_abs()."""
+    if math.ulp(x) < 1.0:  # inf has an infinite ulp
+        return f"{x:.6f}"
+    return ("-" if x < 0 else "") + CoeffEstimate(ln_abs()).scientific(12)
+
+
 def _growth_text(args, n, ln_n) -> str:
-    """log_coeff_asymptotic to 6 decimals; once an ulp of it is >= 1, mantissa and exponent."""
+    """log_coeff_asymptotic, past float resolution read off log_coeff_asymptotic_ln."""
     try:
         value = log_coeff_asymptotic(args.triple, args.form, n, ln_n=ln_n)
     except OverflowError:
         value = math.inf
-    if math.ulp(value) < 1.0:  # inf has an infinite ulp
-        return f"{value:.6f}"
-    return CoeffEstimate(log_coeff_asymptotic_ln(args.triple, args.form, n, ln_n=ln_n)).scientific(12)
+    return _log_scale_text(value, lambda: log_coeff_asymptotic_ln(args.triple, args.form, n, ln_n=ln_n))
 
 
 def _cmd_estimate(args, out) -> int:
@@ -249,16 +249,11 @@ def _cmd_estimate(args, out) -> int:
     if model.capability == CAP_FULL:
         try:
             est = coeff_asymptotic(args.triple, args.form, n, ln_n=ln_n)
-            if math.ulp(est.ln) >= 1.0:  # no decimal of ln means anything: print the sign and |ln|
-                sign = "-" if est.ln < 0 else ""
-                lines = [f"ln_estimate = {sign}{CoeffEstimate(log(abs(est.ln))).scientific(12)}"]
-            else:
-                lines = [f"ln_estimate = {est.ln:.6f}"]
-                if 10.0 * log(10.0) * math.ulp(est.log10) < 1e-3:  # an ulp moves the mantissa < 1e-3
-                    lines.append(f"estimate ~ {est.scientific()}")
+            lines = [f"ln_estimate = {_log_scale_text(est.ln, lambda: log(abs(est.ln)))}"]
+            if 10.0 * log(10.0) * math.ulp(est.log10) < 1e-3:  # an ulp moves the mantissa < 1e-3
+                lines.append(f"estimate ~ {est.scientific()}")
         except OverflowError:  # past float range ln_estimate is its first-order law, to float precision
-            ln_ln = log_coeff_asymptotic_ln(args.triple, args.form, n, ln_n=ln_n)
-            lines = [f"ln_estimate = {CoeffEstimate(ln_ln).scientific(12)}"]
+            lines = [f"ln_estimate = {_growth_text(args, n, ln_n)}"]
     else:
         note = model.note or "no closed-form coefficient estimate for this case"
         lines = [f"log-only: {note}", f"log_coeff_growth = {_growth_text(args, n, ln_n)}"]
@@ -308,6 +303,8 @@ def _cmd_figure1(args, out) -> int:
 
 
 def _cmd_compare(args, out) -> int:
+    if args.limit < 0:
+        raise ValueError("--limit must be >= 0")
     with open(args.bfile, "r", encoding="utf-8") as fh:
         records = parse_bfile(fh.read())
     if not records:
@@ -337,18 +334,6 @@ def _cmd_oracle(args, out) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "coeffs": _cmd_coeffs,
-    "weighted": _cmd_weighted,
-    "estimate": _cmd_estimate,
-    "logasymp": _cmd_logasymp,
-    "table-w": _cmd_table_w,
-    "figure1": _cmd_figure1,
-    "compare": _cmd_compare,
-    "oracle": _cmd_oracle,
-}
-
-
 def run(argv: list[str], out=None) -> int:
     """Run one CLI invocation; returns the exit status."""
     out = out if out is not None else sys.stdout
@@ -360,9 +345,11 @@ def run(argv: list[str], out=None) -> int:
     if args.verb is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    handler = _HANDLERS[args.verb]
     try:
-        return handler(args, out)
+        return args.handler(args, out)
+    except MemoryError:  # str(MemoryError()) is empty
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_DOMAIN
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, OracleBoundError) else EXIT_DOMAIN

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from partition_forge import cli
 from partition_forge.asympt import coeff_asymptotic, log_coeff_asymptotic_ln
 from partition_forge.cli import (
     BFileError,
@@ -15,12 +17,14 @@ from partition_forge.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     compare_sequence,
     parse_bfile,
     run,
     truncate4,
 )
-from partition_forge.series import egf_coeffs, from_decimal, ogf_coeffs_euler
+from partition_forge.divisors import AdmissibleTriple
+from partition_forge.series import KIND_EGF, CoeffSequence, egf_coeffs, from_decimal, ogf_coeffs_euler
 
 
 def run_cli(argv):
@@ -165,9 +169,40 @@ class TestCoeffsVerb:
         for m in (0, 1000, n - 1, n):
             assert from_decimal(values[m]) == factorial(m) * partitions[m]
 
+    @pytest.mark.parametrize("fmt", ["plain", "bfile", "tsv", "json"])
+    def test_every_format_past_digit_limit(self, monkeypatch, fmt):
+        values = (1, 10 ** 5000 - 7, -(10 ** 4400))
+        seq = CoeffSequence(AdmissibleTriple(0, 1, 0), "P", KIND_EGF, values)
+        monkeypatch.setattr(cli, "egf_coeffs", lambda triple, form, n: seq)
+        status, out = run_cli(["coeffs", "--triple", "0,1,0", "--form", "P", "--n", "2", "--format", fmt])
+        assert status == EXIT_OK
+        if fmt == "plain":
+            parsed = [from_decimal(token) for token in out.split()]
+        elif fmt == "json":
+            parsed = [from_decimal(token) for token in json.loads(out)["values"]]
+        else:
+            if fmt == "tsv":
+                assert out.count("\t") == len(values) and " " not in out
+                out = out.replace("\t", " ")
+            records = parse_bfile(out)
+            assert [r.index for r in records] == [0, 1, 2]
+            parsed = [r.value for r in records]
+        assert tuple(parsed) == values
+
     def test_ogf_with_positive_j_is_domain_error(self):
         status, _ = run_cli(["coeffs", "--triple", "0,1,0", "--form", "P", "--n", "4", "--ogf"])
         assert status == EXIT_DOMAIN
+
+    def test_memory_error_is_one_line(self, monkeypatch, capsys):
+        def exhausted(triple, form, n):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "ogf_coeffs_euler", exhausted)
+        status, out = run_cli(["coeffs", "--triple", "0,0,1", "--form", "P", "--n", "1000000000", "--ogf"])
+        assert status == EXIT_DOMAIN
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err == "error: out of memory\n"
 
 
 class TestUsageErrors:
@@ -194,6 +229,50 @@ class TestUsageErrors:
     def test_help_is_success(self):
         status, _ = run_cli(["--help"])
         assert status == EXIT_OK
+
+
+# one valid argv tail per verb; the key set must be the parser's verb set
+VERB_ARGV = {
+    "coeffs": ["--triple", "0,0,1", "--form", "P", "--n", "3"],
+    "weighted": ["--triple", "0,1,0", "--v", "1/3", "--n", "3"],
+    "estimate": ["--triple", "0,0,1", "--form", "P", "--n", "100"],
+    "logasymp": ["--triple", "0,0,1", "--form", "P", "--n", "100"],
+    "table-w": ["--n-list", "2"],
+    "figure1": ["--nmax", "2"],
+    "compare": ["--triple", "0,0,1", "--form", "P", "--bfile", "ref.txt"],
+    "oracle": ["--triple", "0,1,0", "--n", "3"],
+}
+
+
+def _verb_parsers(parser):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestVerbHandlers:
+    def test_every_verb_binds_a_callable_handler(self):
+        verbs = _verb_parsers(build_parser())
+        assert set(verbs) == set(VERB_ARGV)
+        for name, sub in verbs.items():
+            assert callable(sub.get_default("handler")), name
+
+    @pytest.mark.parametrize("verb", sorted(VERB_ARGV))
+    def test_run_dispatches_through_the_bound_handler(self, monkeypatch, verb):
+        seen = []
+
+        def handler(args, out):
+            seen.append(args.verb)
+            return 42
+
+        def parser_with_fake_handlers():
+            parser = build_parser()
+            for sub in _verb_parsers(parser).values():
+                sub.set_defaults(handler=handler)
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", parser_with_fake_handlers)
+        assert run_cli([verb, *VERB_ARGV[verb]]) == (42, "")
+        assert seen == [verb]
 
 
 class TestWeightedVerb:
@@ -413,6 +492,16 @@ class TestCompareVerb:
              "--offset", "1", "--ogf"]
         )
         assert status == EXIT_OK
+
+    def test_negative_limit_names_the_flag(self, tmp_path, capsys):
+        path = tmp_path / "ref.txt"
+        path.write_text("0 1\n1 1\n2 2\n")
+        status, out = run_cli(
+            ["compare", "--triple", "0,0,1", "--form", "P", "--bfile", str(path), "--ogf", "--limit", "-5"]
+        )
+        assert status == EXIT_DOMAIN
+        assert out == ""
+        assert capsys.readouterr().err == "error: --limit must be >= 0\n"
 
     def test_missing_file_is_domain_error(self, tmp_path):
         status, _ = run_cli(
