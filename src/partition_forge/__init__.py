@@ -2,16 +2,7 @@
 generalized partition products indexed by admissible triples (i, j, k).
 """
 
-from .divisors import (
-    AdmissibleTriple,
-    DivisorTable,
-    chi,
-    cycle_weight,
-    cycle_weight_weighted,
-    divisors_of,
-    psi,
-    tau_k,
-)
+from .divisors import AdmissibleTriple, DivisorTable, cycle_weight_weighted
 from .series import (
     CoeffSequence,
     egf_coeffs,
@@ -35,7 +26,6 @@ from .asympt import (
     asymptotic_model,
     coeff_asymptotic,
     kotesovec_ratio,
-    lambert_w,
     lambert_w_log,
     log_coeff_asymptotic,
     residue_leading,
@@ -62,29 +52,23 @@ __all__ = [
     "PoleAbsentError",
     "ResiduePolynomial",
     "asymptotic_model",
-    "chi",
     "coeff_asymptotic",
     "compare_sequence",
     "cycle_type_sum",
     "cycle_type_sums",
     "cycle_types",
-    "cycle_weight",
     "cycle_weight_weighted",
-    "divisors_of",
     "egf_coeffs",
     "egf_coeffs_weighted",
     "from_decimal",
     "kotesovec_ratio",
-    "lambert_w",
     "lambert_w_log",
     "log_coeff_asymptotic",
     "ogf_coeffs_euler",
     "parse_bfile",
     "product_expand",
-    "psi",
     "residue_leading",
     "residue_polynomial",
-    "tau_k",
     "to_bfile",
     "to_decimal",
     "to_json",

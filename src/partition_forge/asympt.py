@@ -4,10 +4,11 @@ The machinery here mirrors the analytic pipeline that produces the
 estimates: leading residue constants A, B, C, D attached to the poles
 at s = 2, 1, 0 of the Mellin transform of log F(e^-t); the full residue
 polynomials (in log t) for the nine triples where every coefficient is
-known in closed form; a real Lambert W kernel (with a log-domain mode
-for indices far beyond float range); weak saddle points alpha(n) with
-r = exp(-exp(alpha(n))); first-order growth of log [z^n] F(z); and the
-closed-form coefficient estimates for the handful of solvable cases.
+known in closed form; a Lambert W kernel that reads only log x, so
+indices far beyond float range stay in reach; weak saddle points
+alpha(n) with r = exp(-exp(alpha(n))); first-order growth of
+log [z^n] F(z); and the closed-form coefficient estimates for the
+handful of solvable cases.
 
 Sign conventions: the closed forms for A, B, C, D carry alternating
 signs such as (-1)^(i-1).  Saddle points and growth rates need only the
@@ -44,8 +45,6 @@ class MathConstants:
 
 CONSTANTS = MathConstants()
 
-_INV_E = math.exp(-1.0)
-
 
 class PoleAbsentError(ValueError):
     """Requested a residue at a pole this triple does not have."""
@@ -63,54 +62,8 @@ class NoClosedFormError(ValueError):
 # Lambert W
 # ---------------------------------------------------------------------------
 
-def lambert_w(x: float) -> float:
-    """Principal-branch Lambert W: the w >= -1 with w * e^w = x.
-
-    Defined for x >= -1/e.  Initial guess log(x) - log(log(x)) for large
-    x, a series guess near the origin and near the branch point, then
-    Halley iterations to a fixed point (at most 50, else ArithmeticError).
-    """
-    if x != x:
-        raise ValueError("lambert_w of NaN")
-    if x < -_INV_E:
-        if x > -_INV_E - 1e-15:
-            return -1.0
-        raise ValueError(f"lambert_w domain error: {x} < -1/e on the principal branch")
-    if x == 0.0:
-        return 0.0
-    if abs(x + _INV_E) < 5e-17:
-        return -1.0
-    if x < -0.32:
-        p = sqrt(2.0 * (math.e * x + 1.0))
-        w = -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p ** 3 - 43.0 / 540.0 * p ** 4
-        if p < 1e-3:
-            # Halley loses quadratic convergence this close to the branch
-            # point; the series is already accurate to ~p^5.
-            return w
-    elif x < 1.0:
-        w = x * (1.0 - x + 1.5 * x * x)
-    elif x < math.e:
-        w = log(1.0 + x)
-    else:
-        lx = log(x)
-        w = lx - log(lx)
-    for _ in range(50):
-        ew = exp(w)
-        f = w * ew - x
-        if f == 0.0:
-            return w
-        w1 = w + 1.0
-        denom = ew * w1 - (w + 2.0) * f / (2.0 * w1)
-        dw = f / denom
-        prev = w
-        w -= dw
-        if w == prev or abs(dw) <= 4e-16 * (2.0 + abs(w)):
-            return w
-    raise ArithmeticError(f"lambert_w failed to converge for x={x}")
-
-
 def lambert_w_log(ln_x: float) -> float:
-    """Lambert W of e^(ln_x), computed from the logarithm alone.
+    """Principal-branch Lambert W of x = e^(ln_x) > 0, from the logarithm alone.
 
     Solves w + log(w) = ln_x by Newton iteration, so ln_x may be far
     beyond the range where e^(ln_x) is representable.

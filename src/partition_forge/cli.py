@@ -26,7 +26,7 @@ from .asympt import (
     log_coeff_asymptotic_ln,
 )
 from .divisors import AdmissibleTriple
-from .oracle import OracleBoundError, cycle_type_sum
+from .oracle import cycle_type_sum
 from .series import (
     CoeffSequence,
     egf_coeffs,
@@ -211,6 +211,13 @@ def _ln_n_from(args) -> tuple[float | None, float | None]:
     return args.n, None
 
 
+def _nonnegative(value: int, flag: str) -> int:
+    """value, if it is >= 0; else a domain error that names the flag."""
+    if value < 0:
+        raise ValueError(f"{flag} must be >= 0")
+    return value
+
+
 def _exact_run(args, n: int) -> CoeffSequence:
     """Exact run to index n: ordinary coefficients with --ogf, else exponential."""
     engine = ogf_coeffs_euler if args.ogf else egf_coeffs
@@ -218,12 +225,12 @@ def _exact_run(args, n: int) -> CoeffSequence:
 
 
 def _cmd_coeffs(args, out) -> int:
-    _print_sequence(_exact_run(args, args.n), args.format, out)
+    _print_sequence(_exact_run(args, _nonnegative(args.n, "--n")), args.format, out)
     return EXIT_OK
 
 
 def _cmd_weighted(args, out) -> int:
-    _print_sequence(egf_coeffs_weighted(args.triple, args.v, args.n), "plain", out)
+    _print_sequence(egf_coeffs_weighted(args.triple, args.v, _nonnegative(args.n, "--n")), "plain", out)
     return EXIT_OK
 
 
@@ -303,8 +310,7 @@ def _cmd_figure1(args, out) -> int:
 
 
 def _cmd_compare(args, out) -> int:
-    if args.limit < 0:
-        raise ValueError("--limit must be >= 0")
+    _nonnegative(args.limit, "--limit")
     with open(args.bfile, "r", encoding="utf-8") as fh:
         records = parse_bfile(fh.read())
     if not records:
@@ -330,7 +336,7 @@ def _cmd_compare(args, out) -> int:
 
 
 def _cmd_oracle(args, out) -> int:
-    print(cycle_type_sum(args.triple, args.form, args.n), file=out)
+    print(cycle_type_sum(args.triple, args.form, _nonnegative(args.n, "--n")), file=out)
     return EXIT_OK
 
 
@@ -352,7 +358,7 @@ def run(argv: list[str], out=None) -> int:
         return EXIT_DOMAIN
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE if isinstance(exc, OracleBoundError) else EXIT_DOMAIN
+        return EXIT_DOMAIN
 
 
 def main() -> None:

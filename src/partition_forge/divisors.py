@@ -7,7 +7,7 @@ eps(m) = (-1)^(m+1).  Each is fixed by its Bell series at every prime p,
 a product of geometric factors (1 - p^s x)^(-count); W adds (1 - x)^(-1),
 and W_Q has a factor (1 - 2x) at p = 2 (Apostol, Introduction to
 Analytic Number Theory, ch. 2).  One smallest-prime-factor sieve builds
-a table for n = 1..limit; trial division gives a single value.
+a table for n = 1..limit; these tables are the only route to a weight.
 """
 
 from __future__ import annotations
@@ -60,27 +60,8 @@ def as_triple(t) -> AdmissibleTriple:
     return AdmissibleTriple(i, j, k)
 
 
-def divisors_of(n: int) -> list[int]:
-    """Strictly increasing list of the divisors of n (n >= 1), by trial division."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 class DivisorTable:
-    """Sieved divisor lists for every n up to a fixed limit.
-
-    Built once in O(N log N); lookups beyond the limit fall back to
-    trial division so callers never need to size the table exactly.
-    """
+    """Sieved divisor lists for every n in 1..limit, built once in O(N log N)."""
 
     def __init__(self, limit: int):
         if limit < 1:
@@ -93,11 +74,9 @@ class DivisorTable:
         self._lists = lists
 
     def divisors(self, n: int) -> list[int]:
-        if n <= self.limit:
-            if n < 1:
-                raise ValueError(f"n must be a positive integer, got {n!r}")
-            return self._lists[n]
-        return divisors_of(n)
+        if not 1 <= n <= self.limit:
+            raise ValueError(f"n must be in 1..{self.limit}, got {n!r}")
+        return self._lists[n]
 
 
 def _bell(p: int, a: int, factors, form: str | None) -> list[int]:
@@ -140,23 +119,6 @@ def _euler_table(factors, limit: int, form: str | None = None) -> list[int]:
     return f
 
 
-def _euler_value(factors, n: int, form: str | None = None) -> int:
-    """The single value f(n) of _euler_table, factoring n by trial division."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    value, p = 1, 2
-    while n > 1:
-        if p * p > n:
-            p = n
-        a = 0
-        while n % p == 0:
-            n, a = n // p, a + 1
-        if a:
-            value *= _bell(p, a, factors, form)[a]
-        p += 1
-    return value
-
-
 def _chi_factors(t) -> tuple:
     i, j, k = as_triple(t)
     return ((2, i), (1, k), (0, j))
@@ -181,24 +143,9 @@ def check_form(form: str) -> None:
         raise ValueError(f"form must be 'P' or 'Q', got {form!r}")
 
 
-def tau_k(k: int, n: int) -> int:
-    """Number of ordered k-tuples of positive integers with product n (tau_0 = 1)."""
-    return _euler_value(_tau_factors(k), n)
-
-
 def tau_k_table(k: int, limit: int) -> list[int]:
     """tau_k(n) for n = 0..limit (index 0 is a placeholder 1)."""
     return [1] + _euler_table(_tau_factors(k), limit)[1:]
-
-
-def chi(t, n: int) -> int:
-    """Cycle-sum weight chi(n) of a triple."""
-    return _euler_value(_chi_factors(t), n)
-
-
-def psi(t, n: int) -> int:
-    """Ordinary product weight psi(n); defined only for triples with j = 0."""
-    return _euler_value(_psi_factors(t), n)
 
 
 def chi_table(t, limit: int) -> list[int]:
@@ -211,20 +158,10 @@ def psi_table(t, limit: int) -> list[int]:
     return _euler_table(_psi_factors(t), limit)
 
 
-def cycle_weight(t, length: int, form: str = "P") -> int:
-    """Log-series weight W(L): the coefficient of z^L/L in log F(z).
-
-    W_P(L) = sum_{d|L} chi(d); the Q variant alternates the sign with
-    the cofactor parity, W_Q(L) = sum_{d|L} (-1)^(L/d+1) chi(d).
-    """
-    check_form(form)
-    return _euler_value(_chi_factors(t), length, form)
-
-
 def cycle_weight_weighted(t, length: int, v: Fraction) -> Fraction:
     """General-v weight: sum_{d|L} v^(L/d+1) chi(d), exact rational."""
-    factors, v = _chi_factors(t), Fraction(v)
-    return sum((v ** (length // d + 1)) * _euler_value(factors, d) for d in divisors_of(length))
+    chis, v = chi_table(t, length), Fraction(v)
+    return sum(v ** (length // d + 1) * chis[d] for d in range(1, length + 1) if length % d == 0)
 
 
 def cycle_weight_table(t, form: str, limit: int) -> list[int]:

@@ -2,17 +2,17 @@
 
 These stay deliberately naive: a sum over cycle types for the
 exponential numerators, and factor-by-factor truncated product
-expansion for the ordinary coefficients.  Both are capped so they
-remain obviously correct and quick enough for CI; the cap on the
-cycle-type sum can be raised with PARTITION_FORGE_ORACLE_BOUND.
+expansion for the ordinary coefficients.  Both are capped at a fixed
+size (CYCLE_SUM_BOUND, PRODUCT_BOUND) so they remain obviously correct
+and quick enough for CI.
 
 The weights chi, psi and W are counted here from their definition, over
-ordered factorizations found by trial division, apart from ``divisors``.
+ordered factorizations found by trial division; they share no code with
+the Euler-factor sieve of ``divisors`` that the fast path reads.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import factorial
 
@@ -20,20 +20,6 @@ from .divisors import as_triple
 
 CYCLE_SUM_BOUND = 40
 PRODUCT_BOUND = 200
-_BOUND_ENV = "PARTITION_FORGE_ORACLE_BOUND"
-
-
-class OracleBoundError(ValueError):
-    """PARTITION_FORGE_ORACLE_BOUND is set to something other than a nonnegative integer."""
-
-
-def _cycle_sum_bound() -> int:
-    raw = os.environ.get(_BOUND_ENV)
-    if raw is None:
-        return CYCLE_SUM_BOUND
-    if not raw.strip().isdecimal():
-        raise OracleBoundError(f"{_BOUND_ENV} must be a nonnegative integer, got {raw!r}")
-    return max(int(raw), CYCLE_SUM_BOUND)
 
 
 def _divisors(n: int) -> list[int]:
@@ -130,12 +116,8 @@ def cycle_type_sums(t, form: str, upto: int) -> list[int]:
         raise ValueError(f"form must be 'P' or 'Q', got {form!r}")
     if upto < 0:
         raise ValueError("n must be >= 0")
-    bound = _cycle_sum_bound()
-    if upto > bound:
-        raise ValueError(
-            f"n={upto} exceeds the cycle-sum oracle bound {bound} "
-            f"(raise it with {_BOUND_ENV})"
-        )
+    if upto > CYCLE_SUM_BOUND:
+        raise ValueError(f"n={upto} exceeds the cycle-sum oracle bound {CYCLE_SUM_BOUND}")
     weights = [0] + [_cycle_weight(t, length, form) for length in range(1, upto + 1)]
     totals = [0] * (upto + 1)
 

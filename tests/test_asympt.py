@@ -15,7 +15,6 @@ from partition_forge.asympt import (
     asymptotic_model,
     coeff_asymptotic,
     kotesovec_ratio,
-    lambert_w,
     lambert_w_log,
     log_coeff_asymptotic,
     log_coeff_asymptotic_ln,
@@ -88,41 +87,46 @@ class TestConstants:
             assert abs(CONSTANTS.zeta_prime_minus1 - alt) <= 1e-15
 
 
+def _grid():
+    """x = 1e-6, 2.9e-6, ... up to 1e300."""
+    x = 1e-6
+    while x <= 1e300:
+        yield x
+        x *= 2.9
+
+
 class TestLambertW:
+    """The principal-branch kernel W(e^y), read from y = ln x."""
+
     def test_zero(self):
-        assert lambert_w(0.0) == 0.0
+        # W(x) = x - x^2 + ..., so W(x) rounds to x as x -> 0
+        assert lambert_w_log(-700.0) == pytest.approx(math.exp(-700.0), rel=1e-14)
 
     def test_at_e(self):
-        assert lambert_w(math.e) == pytest.approx(1.0, rel=1e-14)
+        assert lambert_w_log(1.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_at_one(self):
-        assert lambert_w(1.0) == pytest.approx(0.5671432904097838, rel=1e-14)
-
-    def test_branch_point(self):
-        assert lambert_w(-1.0 / math.e) == -1.0
+        assert lambert_w_log(0.0) == pytest.approx(0.5671432904097838, rel=1e-14)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            lambert_w(-0.5)
+            lambert_w_log(math.nan)
 
     def test_back_substitution_grid(self):
-        x = 1e-6
-        while x <= 1e300:
-            w = lambert_w(x)
+        for x in _grid():
+            w = lambert_w_log(math.log(x))
             assert abs(w * math.exp(w) - x) <= 1e-12 * x
-            x *= 2.9
 
     def test_back_substitution_negative_range(self):
-        for frac in (0.999, 0.9, 0.5, 0.1, 0.01):
-            x = -frac / math.e
-            w = lambert_w(x)
-            assert abs(w * math.exp(w) - x) <= 1e-12 * abs(x)
+        # ln x <= 0, where the kernel starts from w = x
+        for y in (-0.001, -0.5, -1.0, -10.0, -100.0, -700.0):
+            w = lambert_w_log(y)
+            assert abs(w * math.exp(w) - math.exp(y)) <= 1e-12 * math.exp(y)
 
     def test_against_scipy(self):
-        xs = [1e-6, 0.03, 0.4, 1.0, 2.0, 9.0, 1e3, 1e12, 1e100, -0.25, -0.36]
-        for x in xs:
-            assert lambert_w(x) == pytest.approx(
-                scipy.special.lambertw(x).real, rel=1e-12
+        for x in _grid():
+            assert lambert_w_log(math.log(x)) == pytest.approx(
+                scipy.special.lambertw(x).real, rel=1e-14
             )
 
     def test_log_mode_residual(self):
@@ -133,8 +137,10 @@ class TestLambertW:
             y *= 1.7
 
     def test_log_mode_matches_direct(self):
-        for x in (0.5, 1.0, 7.3, 120.0, 5e4):
-            assert lambert_w_log(math.log(x)) == pytest.approx(lambert_w(x), rel=1e-13)
+        # against W(x) evaluated directly at x, to 30 digits
+        with mp.workdps(30):
+            for x in (0.5, 1.0, 7.3, 120.0, 5e4):
+                assert lambert_w_log(math.log(x)) == pytest.approx(float(mp.lambertw(x)), rel=1e-13)
 
 
 class TestResidueLeading:
@@ -334,7 +340,7 @@ class TestWeakSaddle:
         # equation -log(log(1/z))/log(1/z) + gamma/log(1/z) = n
         g = CONSTANTS.euler_gamma
         for n in (10.0, 1e3, 1e6):
-            t = lambert_w(math.exp(g) * n) / n if n <= 1e3 else lambert_w_log(g + math.log(n)) / n
+            t = lambert_w_log(g + math.log(n)) / n
             lhs = (g - math.log(t)) / t
             assert abs(lhs - n) / n <= 1e-10
 

@@ -528,12 +528,26 @@ class TestOracleVerb:
         status, _ = run_cli(["oracle", "--triple", "0,1,0", "--n", "100"])
         assert status == EXIT_DOMAIN
 
-    @pytest.mark.parametrize("raw", ["forty", "-3"])
-    def test_bad_bound_variable_is_usage_error(self, monkeypatch, capsys, raw):
-        monkeypatch.setenv("PARTITION_FORGE_ORACLE_BOUND", raw)
-        status, out = run_cli(["oracle", "--triple", "0,1,0", "--n", "4"])
-        assert status == EXIT_USAGE
+
+class TestNegativeCount:
+    """--n below 0: exit 1 with one line that names the flag, before any engine runs."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coeffs", "--triple", "0,1,0", "--form", "P", "--n", "-1"],
+            ["weighted", "--triple", "0,1,0", "--v", "1/3", "--n", "-1"],
+            ["oracle", "--triple", "0,1,0", "--n", "-1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_names_the_flag(self, argv, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("an engine ran on a negative --n")
+
+        for name in ("egf_coeffs", "egf_coeffs_weighted", "ogf_coeffs_euler", "cycle_type_sum"):
+            monkeypatch.setattr(cli, name, refuse)
+        status, out = run_cli(argv)
+        assert status == EXIT_DOMAIN
         assert out == ""
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: ")
-        assert "PARTITION_FORGE_ORACLE_BOUND" in err and "Traceback" not in err
+        assert capsys.readouterr().err == "error: --n must be >= 0\n"

@@ -11,10 +11,10 @@ from partition_forge import series
 from partition_forge.cli import parse_bfile
 from partition_forge.divisors import (
     AdmissibleTriple,
-    cycle_weight,
     cycle_weight_table,
     cycle_weight_weighted,
 )
+from partition_forge.oracle import _cycle_weight
 from partition_forge.series import (
     CoeffSequence,
     egf_coeffs,
@@ -45,8 +45,9 @@ MERSENNE_61 = 2 ** 61 - 1
 
 def exp_series_rational(t, form, upto):
     """Independent route: F_m = (1/m) sum W(k) F_{m-k} in exact rationals,
-    then scale by m! to get the numerators."""
-    weights = [0] + [cycle_weight(t, k, form) for k in range(1, upto + 1)]
+    then scale by m! to get the numerators.  The weights are the oracle's,
+    counted from their definition without the sieve."""
+    weights = [0] + [_cycle_weight(t, k, form) for k in range(1, upto + 1)]
     f = [Fraction(1)] + [Fraction(0)] * upto
     for m in range(1, upto + 1):
         f[m] = sum(Fraction(weights[k]) * f[m - k] for k in range(1, m + 1)) / m

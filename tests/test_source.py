@@ -3,6 +3,7 @@
 import ast
 from pathlib import Path
 
+import partition_forge
 from partition_forge import series
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,3 +35,10 @@ def test_traced_series_names_exist():
     ]
     assert len(names) == 1 and names[0]
     assert [name for name in names[0] if not hasattr(series, name)] == []
+
+
+def test_exports_resolve_once():
+    # every exported name is bound in the package and listed once
+    names = partition_forge.__all__
+    assert [name for name in names if not hasattr(partition_forge, name)] == []
+    assert len(names) == len(set(names))
