@@ -28,11 +28,13 @@ W(L) = L * [z^L] log F(z):
   where for j = 0 W(k) equals sum_{d|k} d*psi(d) for P and the
   sign-alternating analogue for Q.  W is known in advance, so the sum
   runs semi-relaxed (van der Hoeven, "Relax, but don't be too lazy",
-  J. Symbolic Comput. 34, 2002): the lags below 512 as one dot product
-  per target, and for each b = 512 * 2^r the block product
+  J. Symbolic Comput. 34, 2002): the lags below 128 as one dot product
+  per target, and for each b = 128 * 2^r the block product
   F[a : a+b) * W[b : 2b), a a multiple of b, once F[a : a+b) is known,
-  as one big-integer multiply by Kronecker substitution (Harvey,
-  J. Symbolic Comput. 44, 2009).
+  by Kronecker substitution (Harvey, J. Symbolic Comput. 44, 2009) in
+  base 10: each factor is packed as one Decimal in fixed-width digit
+  slots, and decimal's number-theoretic multiply (libmpdec), faster
+  than the interpreter's Karatsuba at these sizes, forms the product.
   The division by n is exact; an ArithmeticError reports it if it ever
   is not.
 
@@ -71,7 +73,8 @@ KIND_OGF = "ogf"
 
 _DECIMAL_TOKEN = re.compile(r"[+-]?[0-9]+")
 
-_NAIVE_LAGS = 512  # OGF lags below it run as sums: 256 ran faster, but its gain varied by pair past the benchmark's spread bound
+_NAIVE_LAGS = 128  # OGF lags below it run as sums: 64..128 tied on (0,0,1) P at N = 2000, 128..192 on all j = 0 pairs
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])  # integer arithmetic in Decimal, of any length
 _EXP_BLOCK = 32  # j-block size of the exponential recurrence: tied with 64 at N <= 1600, with narrower q
 
 
@@ -162,21 +165,21 @@ def egf_coeffs_weighted(t, v, upto: int) -> CoeffSequence:
     return CoeffSequence(t, "weighted", KIND_EGF, values, v=v)
 
 
-def _pack(xs: list[int], slot: int) -> int:
-    """The non-negative ints xs as one int, xs[i] in byte slot i (Kronecker substitution)."""
-    return int.from_bytes(b"".join([x.to_bytes(slot, "little") for x in xs]), "little")
+def _pack(xs: list[int], digits: int) -> Decimal:
+    """The non-negative ints xs as one Decimal, xs[0] in its highest `digits`-digit slot (Kronecker substitution)."""
+    return Decimal("".join([to_decimal(x).zfill(digits) for x in xs]))
 
 
 def _add_block_product(f: list[int], w: list[int], acc: list[int], start: int) -> None:
     """acc[start + i] += sum_{p+q=i} f[p] * w[q] for f >= 0; w goes in split by sign."""
-    bits = max(f).bit_length() + max(map(abs, w)).bit_length() + len(f).bit_length() + 8
-    slot = (bits + 7) // 8
-    packed_f = _pack(f, slot)
+    digits = len(to_decimal(max(f))) + len(to_decimal(max(map(abs, w)))) + len(str(len(f)))
+    packed_f = _pack(f, digits)
     span = len(f) + len(w) - 1
+    powers = {}
     for op, part in ((add, [max(x, 0) for x in w]), (sub, [max(-x, 0) for x in w])):
         if any(part):
-            data = (packed_f * _pack(part, slot)).to_bytes(slot * span, "little")
-            coeffs = [int.from_bytes(data[i : i + slot], "little") for i in range(0, span * slot, slot)]
+            text = str(_EXACT.multiply(packed_f, _pack(part, digits))).zfill(span * digits)
+            coeffs = [_from_digits(text[i : i + digits], powers) for i in range(0, span * digits, digits)]
             acc[start : start + span] = map(op, acc[start : start + span], coeffs)
 
 
@@ -219,7 +222,7 @@ def _to_decimal_exact(n: int) -> Decimal:
         power = powers.get(low) or powers.setdefault(low, Decimal(2) ** low)
         return join(n >> low, bits - low) * power + join(n & (1 << low) - 1, low)
 
-    with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])):
+    with localcontext(_EXACT):
         return join(n, n.bit_length()) if n >= 0 else -join(-n, n.bit_length())
 
 

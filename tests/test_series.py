@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -164,7 +165,7 @@ class TestOgfCoeffs:
         with pytest.raises(ArithmeticError, match="inexact division at n=2"):
             ogf_coeffs_euler((0, 0, 1), "P", 3)
 
-    @pytest.mark.parametrize("lag, short_lags", [(97, 32), (1100, 1024), (1100, series._NAIVE_LAGS)])
+    @pytest.mark.parametrize("lag, short_lags", [(97, 32), (1100, 512), (1100, 1024), (1100, series._NAIVE_LAGS)])
     def test_inexact_division_raises_inside_a_block_product(self, monkeypatch, lag, short_lags):
         # W(lag) reaches target `lag` only through the product F[0:b) x W[b:2b)
         # with b <= lag < 2b; one more unit there gives lag * F_lag = (its true value) + 1
@@ -240,9 +241,42 @@ class TestOgfBlockKernel:
         monkeypatch.setattr(
             series, "cycle_weight_table", lambda t, form, limit: [0] + [5 * (-ratio) ** k for k in range(1, limit + 1)]
         )
-        expected = tuple((-ratio) ** n * comb(n + 4, 4) for n in range(301))
-        for upto in (0, 1, 2, 3, 4, 5, 33, 300):
+        b = series._NAIVE_LAGS
+        expected = tuple((-ratio) ** n * comb(n + 4, 4) for n in range(b))
+        for upto in (0, 1, 2, 3, 4, 5, 33, b - 1):
             assert ogf_coeffs_euler((0, 0, 1), "P", upto).values == expected[: upto + 1], upto
+
+    def test_slots_past_the_int_str_digit_limit(self, monkeypatch):
+        # W(k) = 5 a^k is W of F = (1 - az)^-5, F_n = a^n C(n+4, 4) >= 0; with a = 10^5 every block product's
+        # slots are wider than the lowest int/str digit limit, so each value crosses it on the way in and out
+        a = 10 ** 5
+        monkeypatch.setattr(
+            series, "cycle_weight_table", lambda t, form, limit: [0] + [5 * a ** k for k in range(1, limit + 1)]
+        )
+        upto = 2 * series._NAIVE_LAGS + 50
+        expected = tuple(a ** n * comb(n + 4, 4) for n in range(upto + 1))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            values = ogf_coeffs_euler((0, 0, 1), "P", upto).values
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert values == expected
+
+    def test_block_product_past_a_million_digits(self):
+        # two factors of 10^4 values of 45 digits pack into slots of 95 digits: a product of 1.9 million digits, past
+        # the default decimal context's Emax; the schoolbook sums are checked at every 97th target and the last
+        rng = random.Random(13)
+        f = [rng.randrange(10 ** 45) for _ in range(10 ** 4)]
+        w = [rng.randrange(-(10 ** 45), 10 ** 45) for _ in range(10 ** 4)]
+        before = [rng.randrange(-(10 ** 9), 10 ** 9) for _ in range(2 * 10 ** 4 + 5)]
+        acc = list(before)
+        series._add_block_product(f, w, acc, 3)
+        span = len(f) + len(w) - 1
+        for i in [*range(0, span, 97), span - 1]:
+            schoolbook = sum(f[p] * w[i - p] for p in range(max(0, i - len(w) + 1), min(i, len(f) - 1) + 1))
+            assert acc[3 + i] == before[3 + i] + schoolbook, i
+        assert acc[:3] == before[:3] and acc[3 + span :] == before[3 + span :]
 
     @pytest.mark.parametrize("triple, form", [((0, 0, 1), "P"), ((1, 0, 0), "Q"), ((2, 0, 2), "P")])
     def test_matches_dot_product_past_2000(self, triple, form):
