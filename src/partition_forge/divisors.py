@@ -6,15 +6,19 @@ chi = N2^{*i} * N1^{*k} * 1^{*j}, psi = N1^{*i} * 1^{*k}, tau_k = 1^{*k}
 eps(m) = (-1)^(m+1).  Each is fixed by its Bell series at every prime p,
 a product of geometric factors (1 - p^s x)^(-count); W adds (1 - x)^(-1),
 and W_Q has a factor (1 - 2x) at p = 2 (Apostol, Introduction to
-Analytic Number Theory, ch. 2).  One smallest-prime-factor sieve builds
-a table for n = 1..limit; these tables are the only route to a weight.
+Analytic Number Theory, ch. 2).  One sieve builds a table for
+n = 1..limit from the primes of a sieve of Eratosthenes, one list slice
+per prime power; these tables are the only route to a weight.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import isqrt
+from operator import mul
 
 
 @dataclass(frozen=True)
@@ -99,23 +103,30 @@ def _euler_table(factors, limit: int, form: str | None = None) -> list[int]:
     with form "P" or "Q" the table is W = f * 1 or f * eps instead."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    spf = list(range(limit + 1))  # smallest prime factor
-    for p in reversed([p for p in range(2, isqrt(limit) + 1) if spf[p] == p]):
-        spf[p * p :: p] = [p] * len(range(p * p, limit + 1, p))
-    f = [0, 1] + [0] * (limit - 1)
-    power = [1] * (limit + 1)  # the full power of spf(n) that divides n
-    for n in range(2, limit + 1):
-        p = spf[n]
-        if p == n:  # f at every power of the prime p
-            powers = [p]
-            while powers[-1] * p <= limit:
-                powers.append(powers[-1] * p)
-            for q, value in zip(powers, _bell(p, len(powers), factors, form)[1:]):
-                f[q] = value
-        m = n // p
-        power[n] = q = power[m] * p if spf[m] == p else p
-        if q != n:
-            f[n] = f[q] * f[n // q]
+    is_prime = bytearray([0, 0]) + bytearray([1]) * (limit - 1)
+    for p in range(2, isqrt(limit) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    primes = list(compress(range(limit + 1), is_prime))
+    # 2 takes its whole Bell series even above sqrt(limit): W_Q has the factor (1 - 2x) there
+    split = bisect(primes, max(isqrt(limit), 2))
+    f = [0] + [1] * limit
+    # a prime p > sqrt(limit) divides each n <= limit at most once and shares no n
+    # with another such prime: f(p) alone fills in its multiples, before the rest
+    large = primes[split:]
+    f_p = [1 if form else 0] * len(large)
+    for s, count in factors:
+        f_p = [x + count * p**s for x, p in zip(f_p, large)]
+    for p, value in zip(large, f_p):
+        f[p::p] = [value] * (limit // p)
+    part = [0] * (limit + 1)  # part[n] = f(p^e) for p^e the full power of p dividing n
+    for p in primes[:split]:
+        powers = [p]
+        while powers[-1] * p <= limit:
+            powers.append(powers[-1] * p)
+        for q, value in zip(powers, _bell(p, len(powers), factors, form)[1:]):
+            part[q::q] = [value] * (limit // q)
+        f[p::p] = map(mul, f[p::p], part[p::p])
     return f
 
 

@@ -18,8 +18,10 @@ W(L) = L * [z^L] log F(z):
   big-by-small multiply and one add, inside a C-level sum, where a
   Horner step costs three big-integer operations.  The v-weighted
   family with v = a/b runs through the same loop: the scaled weights
-  b^(2k) W_v(k) are integers, the scaled numerators b^(2m) p_m obey the
-  same recurrence, and each is reduced to a Fraction once, at the end;
+  T(k) = b^(k+1) W_v(k) are integers, and the scaled numerators
+  P_m = b^(2m) p_m obey P_m = sum_j T(m-j) P_j prod_{i=j+1..m-1} (i*b),
+  the same recurrence with Horner factors j*b in place of j; each P_m is
+  reduced to a Fraction once, at the end;
 
 * the log-derivative recurrence for the ordinary (j = 0) coefficients:
 
@@ -52,6 +54,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
+from itertools import accumulate, repeat
 from operator import add, mul, sub
 
 # psi_table and cycle_weight_weighted are not called here any more; they
@@ -103,25 +106,25 @@ class CoeffSequence:
         return self.values[n]
 
 
-def _exp_numerators(weights: list[int], upto: int) -> list[int]:
-    """p_0..p_upto of the exponential recurrence: block dot products, then Horner's rule in j."""
+def _exp_numerators(weights: list[int], upto: int, scale: int = 1) -> list[int]:
+    """p_0..p_upto of the exponential recurrence with Horner factors j*scale: block dot products, then Horner's rule in j."""
     r = _EXP_BLOCK
     p = [1] + [0] * upto
-    q = []  # q_j = p_j (j+1)...(e-1), e the end of j's block, for every complete block
-    rising = []  # (lo)(lo+1)...(lo+r-1) for the block [lo, lo+r)
+    q = []  # q_j = p_j prod_{i=j+1..e-1} (i*scale), e the end of j's block, for every complete block
+    rising = []  # prod_{i=lo..lo+r-1} (i*scale) for the block [lo, lo+r)
     for m in range(1, upto + 1):
         acc = 0
         for lo, step in zip(range(0, len(q), r), rising):
             acc = acc * step + sum(map(mul, weights[m - lo : m - lo - r : -1], q[lo : lo + r]))
         done = len(q)
-        for j, w, pj in zip(range(done, m), weights[m - done : 0 : -1], p[done:m]):
-            acc = acc * j + w * pj
+        for js, w, pj in zip(range(done * scale, m * scale, scale), weights[m - done : 0 : -1], p[done:m]):
+            acc = acc * js + w * pj
         p[m] = acc
         if (m + 1) % r == 0:  # the block [m+1-r, m+1) is complete
             tail, block = 1, []
-            for j in range(m, m - r, -1):
-                block.append(p[j] * tail)
-                tail *= j
+            for pj, js in zip(reversed(p[m + 1 - r : m + 1]), range(m * scale, (m - r) * scale, -scale)):
+                block.append(pj * tail)
+                tail *= js
             q += reversed(block)
             rising.append(tail)
     return p
@@ -143,7 +146,9 @@ def egf_coeffs_weighted(t, v, upto: int) -> CoeffSequence:
     The weight of a cycle of length L picks up a factor v^(l+1) per
     l-fold winding, so W_v(k) = sum_{d|k} v^(k/d+1) chi(d).  v = 1
     recovers the P engine and v = -1 the Q engine.  With v = a/b the
-    recurrence runs on the integers b^(2k) W_v(k).
+    recurrence runs on the integers b^(k+1) W_v(k), the least power of b
+    that clears their denominators, with the Horner factors j*b; the
+    numerators it returns are b^(2m) p_m.
     """
     t = as_triple(t)
     if upto < 0:
@@ -153,14 +158,12 @@ def egf_coeffs_weighted(t, v, upto: int) -> CoeffSequence:
     limit = max(upto, 1)
     dt = DivisorTable(limit)
     chis = chi_table(t, limit)
-    a_pow = [a ** e for e in range(limit + 2)]
-    b_pow = [b ** e for e in range(2 * limit + 1)]
+    a_pow = list(accumulate(repeat(a, limit + 1), mul, initial=1))
+    b_pow = list(accumulate(repeat(b, 2 * limit), mul, initial=1))
     scaled = [0] * (limit + 1)
     for k in range(1, upto + 1):
-        scaled[k] = sum(
-            a_pow[k // d + 1] * b_pow[2 * k - k // d - 1] * chis[d] for d in dt.divisors(k)
-        )
-    numerators = _exp_numerators(scaled, upto)
+        scaled[k] = sum(a_pow[k // d + 1] * b_pow[k - k // d] * chis[d] for d in dt.divisors(k))
+    numerators = _exp_numerators(scaled, upto, b)
     values = tuple(Fraction(q, b_pow[2 * m]) for m, q in enumerate(numerators))
     return CoeffSequence(t, "weighted", KIND_EGF, values, v=v)
 

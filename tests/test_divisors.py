@@ -253,6 +253,14 @@ SCATTERED_LENGTHS = sorted(
     | set(range(313, 20000, 719))
 )
 
+# every limit up to 130, and p^2 - 1, p^2, p^2 + 1 and 2p^2 for the primes p <= 19,
+# where the largest prime with its whole Bell series changes
+SIEVE_LIMITS = sorted(
+    set(range(1, 131))
+    | {n for p in (2, 3, 5, 7, 11, 13, 17, 19) for n in (p * p - 1, p * p, p * p + 1, 2 * p * p)}
+)
+SIEVE_REFERENCE_LIMIT = 800  # above 2 * 19^2
+
 
 class TestEulerSieve:
     @pytest.mark.parametrize("triple", SMALL_TRIPLES)
@@ -298,6 +306,30 @@ class TestEulerSieve:
             chi_table(triple, 0)
         with pytest.raises(ValueError):
             cycle_weight_table(triple, "P", 0)
+
+    @pytest.mark.parametrize("triple", SMALL_TRIPLES)
+    def test_every_small_limit_is_a_prefix(self, triple):
+        # each limit moves the split between the primes that take their whole
+        # Bell series and those above sqrt(limit) that take only f(p)
+        full = {
+            "chi": chi_table(triple, SIEVE_REFERENCE_LIMIT),
+            "P": cycle_weight_table(triple, "P", SIEVE_REFERENCE_LIMIT),
+            "Q": cycle_weight_table(triple, "Q", SIEVE_REFERENCE_LIMIT),
+        }
+        if triple[1] == 0:
+            full["psi"] = psi_table(triple, SIEVE_REFERENCE_LIMIT)
+        for limit in SIEVE_LIMITS:
+            assert chi_table(triple, limit) == full["chi"][: limit + 1], limit
+            assert cycle_weight_table(triple, "P", limit) == full["P"][: limit + 1], limit
+            assert cycle_weight_table(triple, "Q", limit) == full["Q"][: limit + 1], limit
+            if "psi" in full:
+                assert psi_table(triple, limit) == full["psi"][: limit + 1], limit
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_every_small_tau_limit_is_a_prefix(self, k):
+        full = tau_k_table(k, SIEVE_REFERENCE_LIMIT)
+        for limit in SIEVE_LIMITS:
+            assert tau_k_table(k, limit) == full[: limit + 1], limit
 
     def test_tau0_table_is_all_ones(self):
         for limit in (1, 2, 10, 1000):

@@ -122,14 +122,16 @@ class TestWeighted:
         assert all(isinstance(x, Fraction) for x in seq.values)
         assert weighted_series_rational((0, 0, 1), v, 20) == list(seq.values)
 
-    @pytest.mark.parametrize("v", ["2/3", "-3/4", "5", "-7/2", "1/7"])
+    # to 40, past the first complete block of the kernel; denominators with
+    # two primes (6, 10), numerators other than 1 (9/4), b = 1 (2, -3) and v = 0
+    @pytest.mark.parametrize("v", ["2/3", "-3/4", "5", "-7/2", "1/7", "5/6", "-7/10", "9/4", "2", "-3", "0"])
     @pytest.mark.parametrize("triple", [(0, 0, 1), (1, 2, 1)])
     def test_independent_route_across_v(self, triple, v):
         v = Fraction(v)
-        seq = egf_coeffs_weighted(triple, v, 20)
+        seq = egf_coeffs_weighted(triple, v, 40)
         assert seq.v == v
         assert all(type(x) is Fraction for x in seq.values)
-        assert weighted_series_rational(triple, v, 20) == list(seq.values)
+        assert weighted_series_rational(triple, v, 40) == list(seq.values)
 
 
 class TestOgfCoeffs:
@@ -319,7 +321,7 @@ class TestExpBlockKernel:
         for upto in (2 * r - 1, 2 * r, 2 * r + 1, 800):
             assert list(egf_coeffs(triple, form, upto).values) == reference[: upto + 1], upto
 
-    @pytest.mark.parametrize("v", ["1/3", "-2/3", "3/4"])
+    @pytest.mark.parametrize("v", ["1/3", "-2/3", "3/4", "5/6", "-7/10", "9/4", "2", "-3", "0"])
     @pytest.mark.parametrize("triple", [(0, 1, 0), (1, 2, 1)])
     def test_weighted_matches_horner_across_block_edges(self, monkeypatch, triple, v):
         monkeypatch.setattr(series, "_EXP_BLOCK", 8)
