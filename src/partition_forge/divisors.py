@@ -1,14 +1,15 @@
 """Admissible triples, divisor lists and the arithmetic weights.
 
-The weights are multiplicative Dirichlet products of N_s(n) = n^s:
-chi = N2^{*i} * N1^{*k} * 1^{*j}, psi = N1^{*i} * 1^{*k}, tau_k = 1^{*k}
-(tau_0 = 1 by convention), W_P = chi * 1 and W_Q = chi * eps with
-eps(m) = (-1)^(m+1).  Each is fixed by its Bell series at every prime p,
-a product of geometric factors (1 - p^s x)^(-count); W adds (1 - x)^(-1),
-and W_Q has a factor (1 - 2x) at p = 2 (Apostol, Introduction to
-Analytic Number Theory, ch. 2).  One sieve builds a table for
-n = 1..limit from the primes of a sieve of Eratosthenes, one list slice
-per prime power; these tables are the only route to a weight.
+The weights are multiplicative Dirichlet products of N_s(n) = n^s, and
+each is a chi table (Apostol, Introduction to Analytic Number Theory,
+ch. 2): chi(i, j, k) = N2^{*i} * N1^{*k} * 1^{*j}, with Bell series
+prod (1 - p^s x)^(-count) at each prime p, psi(i, 0, k) = chi(0, k, i),
+tau_k = chi(0, k, 0) and W_P(i, j, k) = chi * 1 = chi(i, j+1, k).
+W_Q = chi * eps, eps(m) = (-1)^(m+1), is W_P with its Bell series at
+p = 2 times (1 - 2x), the one factor that is not geometric.  One sieve
+builds a table for n = 1..limit from the primes of a sieve of
+Eratosthenes, one list slice per prime power; these tables are the only
+route to a weight.
 """
 
 from __future__ import annotations
@@ -83,24 +84,24 @@ class DivisorTable:
         return self._lists[n]
 
 
-def _bell(p: int, a: int, factors, form: str | None) -> list[int]:
-    """f(1), f(p), ..., f(p^a): the Bell series of f at p, truncated at x^a."""
+def _bell(p: int, a: int, factors, alternating: bool) -> list[int]:
+    """f(1), f(p), ..., f(p^a): the Bell series of f at p to x^a, times (1 - 2x) at p = 2 if alternating."""
     c = [1] + [0] * a
-    for s, count in (*factors, (0, 1)) if form else factors:
+    for s, count in factors:
         q = p**s
         for _ in range(count):
             for e in range(1, a + 1):
                 c[e] += q * c[e - 1]
-    if form == "Q" and p == 2:
+    if alternating and p == 2:
         for e in range(a, 0, -1):
             c[e] -= 2 * c[e - 1]
     return c
 
 
-def _euler_table(factors, limit: int, form: str | None = None) -> list[int]:
+def _euler_table(factors, limit: int, alternating: bool = False) -> list[int]:
     """f(n) for n = 1..limit (index 0 unused), f the multiplicative function
-    with Bell series prod over (s, count) in factors of (1 - p^s x)^(-count);
-    with form "P" or "Q" the table is W = f * 1 or f * eps instead."""
+    with Bell series prod over (s, count) in factors of (1 - p^s x)^(-count),
+    times (1 - 2x) at p = 2 if alternating (W_Q from the factors of W_P)."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
     is_prime = bytearray([0, 0]) + bytearray([1]) * (limit - 1)
@@ -114,7 +115,7 @@ def _euler_table(factors, limit: int, form: str | None = None) -> list[int]:
     # a prime p > sqrt(limit) divides each n <= limit at most once and shares no n
     # with another such prime: f(p) alone fills in its multiples, before the rest
     large = primes[split:]
-    f_p = [1 if form else 0] * len(large)
+    f_p = [0] * len(large)
     for s, count in factors:
         f_p = [x + count * p**s for x, p in zip(f_p, large)]
     for p, value in zip(large, f_p):
@@ -124,7 +125,7 @@ def _euler_table(factors, limit: int, form: str | None = None) -> list[int]:
         powers = [p]
         while powers[-1] * p <= limit:
             powers.append(powers[-1] * p)
-        for q, value in zip(powers, _bell(p, len(powers), factors, form)[1:]):
+        for q, value in zip(powers, _bell(p, len(powers), factors, alternating)[1:]):
             part[q::q] = [value] * (limit // q)
         f[p::p] = map(mul, f[p::p], part[p::p])
     return f
@@ -135,28 +136,10 @@ def _chi_factors(t) -> tuple:
     return ((2, i), (1, k), (0, j))
 
 
-def _psi_factors(t) -> tuple:
-    t = as_triple(t)
-    if t.j != 0:
-        raise ValueError(f"psi is undefined for j > 0 (triple {t})")
-    return ((1, t.i), (0, t.k))
-
-
-def _tau_factors(k: int) -> tuple:
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return ((0, max(k, 1)),)  # tau_0 is the constant 1, like tau_1
-
-
 def check_form(form: str) -> None:
     """Reject any form other than "P" or "Q"."""
     if form not in ("P", "Q"):
         raise ValueError(f"form must be 'P' or 'Q', got {form!r}")
-
-
-def tau_k_table(k: int, limit: int) -> list[int]:
-    """tau_k(n) for n = 0..limit (index 0 is a placeholder 1)."""
-    return [1] + _euler_table(_tau_factors(k), limit)[1:]
 
 
 def chi_table(t, limit: int) -> list[int]:
@@ -165,8 +148,11 @@ def chi_table(t, limit: int) -> list[int]:
 
 
 def psi_table(t, limit: int) -> list[int]:
-    """psi(n) for n = 1..limit (index 0 unused); requires j = 0."""
-    return _euler_table(_psi_factors(t), limit)
+    """psi(n) for n = 1..limit (index 0 unused), as chi of (0, k, i); requires j = 0."""
+    t = as_triple(t)
+    if t.j != 0:
+        raise ValueError(f"psi is undefined for j > 0 (triple {t})")
+    return chi_table((0, t.k, t.i), limit)
 
 
 def cycle_weight_weighted(t, length: int, v: Fraction) -> Fraction:
@@ -176,6 +162,7 @@ def cycle_weight_weighted(t, length: int, v: Fraction) -> Fraction:
 
 
 def cycle_weight_table(t, form: str, limit: int) -> list[int]:
-    """W(L) for L = 1..limit (index 0 unused)."""
+    """W(L) for L = 1..limit (index 0 unused): chi of (i, j+1, k), times (1 - 2x) at p = 2 for Q."""
     check_form(form)
-    return _euler_table(_chi_factors(t), limit, form)
+    i, j, k = as_triple(t)
+    return _euler_table(_chi_factors((i, j + 1, k)), limit, form == "Q")

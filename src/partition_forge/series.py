@@ -57,9 +57,9 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import add, mul, sub
 
-# psi_table and cycle_weight_weighted are not called here any more; they
-# stay importable from this module because perfbench/spans.py wraps them
-# by name.
+# DivisorTable, psi_table and cycle_weight_weighted are not called here;
+# they stay importable from this module because perfbench/spans.py wraps
+# them by name.
 from .divisors import (  # noqa: F401
     AdmissibleTriple,
     DivisorTable,
@@ -156,13 +156,13 @@ def egf_coeffs_weighted(t, v, upto: int) -> CoeffSequence:
     v = Fraction(v)
     a, b = v.numerator, v.denominator
     limit = max(upto, 1)
-    dt = DivisorTable(limit)
     chis = chi_table(t, limit)
     a_pow = list(accumulate(repeat(a, limit + 1), mul, initial=1))
     b_pow = list(accumulate(repeat(b, 2 * limit), mul, initial=1))
     scaled = [0] * (limit + 1)
-    for k in range(1, upto + 1):
-        scaled[k] = sum(a_pow[k // d + 1] * b_pow[k - k // d] * chis[d] for d in dt.divisors(k))
+    for d in range(1, upto + 1):  # chi(d) adds to every multiple k = e*d
+        for e, k in enumerate(range(d, upto + 1, d), 1):
+            scaled[k] += a_pow[e + 1] * b_pow[k - e] * chis[d]
     numerators = _exp_numerators(scaled, upto, b)
     values = tuple(Fraction(q, b_pow[2 * m]) for m, q in enumerate(numerators))
     return CoeffSequence(t, "weighted", KIND_EGF, values, v=v)

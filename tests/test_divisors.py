@@ -16,7 +16,6 @@ from partition_forge.divisors import (
     cycle_weight_table,
     cycle_weight_weighted,
     psi_table,
-    tau_k_table,
 )
 
 
@@ -59,6 +58,11 @@ def chi_reference(t, n):
 def psi_reference(t, n):
     i, _, k = as_triple(t)
     return sum(a * ordered_tuples(i, a) * ordered_tuples(k, n // a) for a in divisors(n))
+
+
+def tau_table(k, limit):
+    """tau_k(n) for n = 1..limit (k >= 1): the sieve's chi of (0, k, 0)."""
+    return chi_table((0, k, 0), limit)
 
 
 SMALL_TRIPLES = [
@@ -133,24 +137,20 @@ class TestDivisorsOf:
 
 class TestTauK:
     def test_tau1_is_one(self):
-        assert tau_k_table(1, 9)[9] == 1
+        assert tau_table(1, 9)[9] == 1
 
     def test_tau2_counts_divisors(self):
-        assert tau_k_table(2, 6)[6] == 4
+        assert tau_table(2, 6)[6] == 4
 
     def test_tau3_example(self):
         # sum over d | 4 of tau_2(4/d) = 3 + 2 + 1
-        assert tau_k_table(3, 4)[4] == 6
-
-    def test_tau0_convention(self):
-        assert tau_k_table(0, 7)[1] == 1
-        assert tau_k_table(0, 7)[7] == 1
+        assert tau_table(3, 4)[4] == 6
 
     def test_recursion(self):
         # tau_{k+1}(n) = sum_{d|n} tau_k(n/d) for k >= 1
         for k in range(1, 5):
-            upper = tau_k_table(k, 500)
-            tau_next = tau_k_table(k + 1, 500)
+            upper = tau_table(k, 500)
+            tau_next = tau_table(k + 1, 500)
             for n in range(1, 501):
                 assert tau_next[n] == sum(
                     upper[n // d] for d in divisors(n)
@@ -158,17 +158,16 @@ class TestTauK:
 
     def test_multiplicative(self):
         for k in range(1, 5):
-            table = tau_k_table(k, 3600)
+            table = tau_table(k, 3600)
             for m in range(1, 61):
                 for n in range(1, 61):
                     if math.gcd(m, n) == 1:
                         assert table[m * n] == table[m] * table[n]
 
     def test_table_matches_scalar(self):
-        # against the oracle's count of ordered factorizations (tau_0 = 1 by convention)
-        assert tau_k_table(0, 120) == [1] * 121
+        # against the oracle's count of ordered factorizations
         for k in range(1, 5):
-            table = tau_k_table(k, 120)
+            table = tau_table(k, 120)
             for n in range(1, 121):
                 assert table[n] == oracle._tuples(k, n)
 
@@ -325,15 +324,11 @@ class TestEulerSieve:
             if "psi" in full:
                 assert psi_table(triple, limit) == full["psi"][: limit + 1], limit
 
-    @pytest.mark.parametrize("k", range(5))
+    @pytest.mark.parametrize("k", range(1, 5))
     def test_every_small_tau_limit_is_a_prefix(self, k):
-        full = tau_k_table(k, SIEVE_REFERENCE_LIMIT)
+        full = tau_table(k, SIEVE_REFERENCE_LIMIT)
         for limit in SIEVE_LIMITS:
-            assert tau_k_table(k, limit) == full[: limit + 1], limit
-
-    def test_tau0_table_is_all_ones(self):
-        for limit in (1, 2, 10, 1000):
-            assert list(tau_k_table(0, limit)) == [1] * (limit + 1)
+            assert tau_table(k, limit) == full[: limit + 1], limit
 
     def test_tables_reject_bad_form(self):
         for form in ("X", None, "p"):

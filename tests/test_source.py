@@ -23,9 +23,9 @@ def test_no_assert_statements():
     assert found == []
 
 
-def test_traced_series_names_exist():
-    # perfbench/spans.py wraps these names of partition_forge.series by getattr, so the
-    # benchmark's --trace 1 breaks if series stops importing one of them; read, not imported
+def traced_series_names():
+    # perfbench/spans.py wraps these names of partition_forge.series by getattr;
+    # read from its source, not imported
     tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
     names = [
         ast.literal_eval(node.value)
@@ -34,7 +34,27 @@ def test_traced_series_names_exist():
         and any(isinstance(target, ast.Name) and target.id == "SERIES_IMPORTS_FROM_DIVISORS" for target in node.targets)
     ]
     assert len(names) == 1 and names[0]
-    assert [name for name in names[0] if not hasattr(series, name)] == []
+    return names[0]
+
+
+def test_traced_series_names_exist():
+    # the benchmark's --trace 1 breaks if series stops importing one of them
+    assert [name for name in traced_series_names() if not hasattr(series, name)] == []
+
+
+def test_series_imports_from_divisors_only_what_it_uses_or_traces():
+    # a name series imports from .divisors and never uses is there only for the
+    # tracer, so it must be listed where the tracer reads it
+    tree = ast.parse((SRC / "series.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "divisors"
+        for alias in node.names
+    ]
+    assert imported
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert [name for name in imported if name not in used and name not in traced_series_names()] == []
 
 
 def test_exports_resolve_once():
