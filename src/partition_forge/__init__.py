@@ -1,76 +1,43 @@
 """Exact coefficients and growth estimates for two families of
 generalized partition products indexed by admissible triples (i, j, k).
+
+Each exported name loads its submodule on first access (PEP 562), so
+``import partition_forge`` loads none of them.
 """
 
-from .divisors import AdmissibleTriple, DivisorTable, cycle_weight_weighted
-from .series import (
-    CoeffSequence,
-    egf_coeffs,
-    egf_coeffs_weighted,
-    from_decimal,
-    ogf_coeffs_euler,
-    to_bfile,
-    to_decimal,
-    to_json,
-)
-from .oracle import CycleType, cycle_type_sum, cycle_type_sums, cycle_types, product_expand
-from .asympt import (
-    CONSTANTS,
-    AsymptoticModel,
-    CoeffEstimate,
-    MathConstants,
-    NoClosedFormError,
-    NotTabulatedError,
-    PoleAbsentError,
-    ResiduePolynomial,
-    asymptotic_model,
-    coeff_asymptotic,
-    kotesovec_ratio,
-    lambert_w_log,
-    log_coeff_asymptotic,
-    residue_leading,
-    residue_polynomial,
-    weak_saddle_alpha,
-)
-from .cli import BFileRecord, ComparisonReport, compare_sequence, parse_bfile
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibleTriple",
-    "AsymptoticModel",
-    "BFileRecord",
-    "CoeffEstimate",
-    "CoeffSequence",
-    "ComparisonReport",
-    "CONSTANTS",
-    "CycleType",
-    "DivisorTable",
-    "MathConstants",
-    "NoClosedFormError",
-    "NotTabulatedError",
-    "PoleAbsentError",
-    "ResiduePolynomial",
-    "asymptotic_model",
-    "coeff_asymptotic",
-    "compare_sequence",
-    "cycle_type_sum",
-    "cycle_type_sums",
-    "cycle_types",
-    "cycle_weight_weighted",
-    "egf_coeffs",
-    "egf_coeffs_weighted",
-    "from_decimal",
-    "kotesovec_ratio",
-    "lambert_w_log",
-    "log_coeff_asymptotic",
-    "ogf_coeffs_euler",
-    "parse_bfile",
-    "product_expand",
-    "residue_leading",
-    "residue_polynomial",
-    "to_bfile",
-    "to_decimal",
-    "to_json",
-    "weak_saddle_alpha",
-]
+_EXPORTS = {  # submodule -> the names it exports
+    "divisors": ("AdmissibleTriple", "DivisorTable", "cycle_weight_weighted"),
+    "series": (
+        "CoeffSequence", "egf_coeffs", "egf_coeffs_weighted", "from_decimal", "ogf_coeffs_euler",
+        "to_bfile", "to_decimal", "to_json",
+    ),
+    "oracle": ("CycleType", "cycle_type_sum", "cycle_type_sums", "cycle_types", "product_expand"),
+    "asympt": (
+        "CONSTANTS", "AsymptoticModel", "CoeffEstimate", "MathConstants", "NoClosedFormError",
+        "NotTabulatedError", "PoleAbsentError", "ResiduePolynomial", "asymptotic_model",
+        "coeff_asymptotic", "kotesovec_ratio", "lambert_w_log", "log_coeff_asymptotic",
+        "residue_leading", "residue_polynomial", "weak_saddle_alpha",
+    ),
+    "cli": ("BFileRecord", "ComparisonReport", "compare_sequence", "parse_bfile"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+# classes and constants first, then functions, each group alphabetical
+__all__ = sorted(_MODULE_OF, key=lambda name: (name[0].islower(), name.lower()))
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # a submodule, reached as an attribute of the package
+        return import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from math import exp, factorial, inf, log, pi, sqrt
 from typing import NamedTuple
@@ -30,8 +29,7 @@ from typing import NamedTuple
 from .divisors import AdmissibleTriple, as_triple, check_form
 
 
-@dataclass(frozen=True)
-class MathConstants:
+class MathConstants(NamedTuple):
     """Reference constants, each correct to at least 16 significant digits."""
 
     pi: float = math.pi
@@ -121,8 +119,7 @@ def residue_leading(t, form: str, pole: int) -> float:
     raise ValueError(f"pole must be 2, 1 or 0, got {pole!r}")
 
 
-@dataclass(frozen=True)
-class ResiduePolynomial:
+class ResiduePolynomial(NamedTuple):
     """Residue of L*(s) t^-s at a pole, as a polynomial in log t."""
 
     triple: AdmissibleTriple
@@ -337,8 +334,7 @@ def log_coeff_asymptotic_ln(t, form: str, n: float | None = None, *, ln_n: float
 _LN10 = math.log(10.0)
 
 
-@dataclass(frozen=True)
-class CoeffEstimate:
+class CoeffEstimate(NamedTuple):
     """A coefficient estimate carried as its natural logarithm."""
 
     ln: float
@@ -381,8 +377,7 @@ CAP_FULL = "full-coefficient"
 CAP_LOG = "log-only"
 
 
-@dataclass(frozen=True)
-class AsymptoticModel:
+class AsymptoticModel(NamedTuple):
     """What kind of estimate is available for a (triple, form) pair."""
 
     triple: AdmissibleTriple

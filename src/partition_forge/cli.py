@@ -11,32 +11,15 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from math import lgamma, log
+from typing import TYPE_CHECKING, NamedTuple
 
-from .asympt import (
-    CAP_FULL,
-    CONSTANTS,
-    CoeffEstimate,
-    asymptotic_model,
-    coeff_asymptotic,
-    kotesovec_ratio,
-    log_coeff_asymptotic,
-    log_coeff_asymptotic_ln,
-)
 from .divisors import AdmissibleTriple
-from .oracle import cycle_type_sum
-from .series import (
-    CoeffSequence,
-    egf_coeffs,
-    egf_coeffs_weighted,
-    from_decimal,
-    ogf_coeffs_euler,
-    to_bfile,
-    to_decimal,
-    to_json,
-)
+
+if TYPE_CHECKING:  # the engines load when a verb runs, not at start-up
+    from fractions import Fraction
+
+    from .series import CoeffSequence
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -50,14 +33,12 @@ class BFileError(ValueError):
     """Malformed or inconsistent b-file text."""
 
 
-@dataclass(frozen=True)
-class BFileRecord:
+class BFileRecord(NamedTuple):
     index: int
     value: int
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     matched_prefix_length: int
     first_mismatch: tuple[int, int, int] | None  # (index, expected, actual)
     offset_applied: int
@@ -73,6 +54,8 @@ def parse_bfile(text: str) -> list[BFileRecord]:
 
     Both tokens must be plain decimal integers ([+-]?[0-9]+), of any length.
     """
+    from .series import from_decimal
+
     records: list[BFileRecord] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -124,6 +107,8 @@ def _triple_arg(text: str) -> AdmissibleTriple:
 
 
 def _fraction_arg(text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -195,6 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _print_sequence(seq: CoeffSequence, fmt: str, out) -> None:
+    from .series import to_bfile, to_decimal, to_json
+
     if fmt == "plain":
         print(" ".join(to_decimal(v) for v in seq.values), file=out)
     elif fmt in ("bfile", "tsv"):
@@ -220,6 +207,8 @@ def _nonnegative(value: int, flag: str) -> int:
 
 def _exact_run(args, n: int) -> CoeffSequence:
     """Exact run to index n: ordinary coefficients with --ogf, else exponential."""
+    from .series import egf_coeffs, ogf_coeffs_euler
+
     engine = ogf_coeffs_euler if args.ogf else egf_coeffs
     return engine(args.triple, args.form, n)
 
@@ -230,12 +219,16 @@ def _cmd_coeffs(args, out) -> int:
 
 
 def _cmd_weighted(args, out) -> int:
+    from .series import egf_coeffs_weighted
+
     _print_sequence(egf_coeffs_weighted(args.triple, args.v, _nonnegative(args.n, "--n")), "plain", out)
     return EXIT_OK
 
 
 def _log_scale_text(x: float, ln_abs) -> str:
     """x to 6 decimals while an ulp of it is below 1; past that, its sign and |x| read off ln|x| = ln_abs()."""
+    from .asympt import CoeffEstimate
+
     if math.ulp(x) < 1.0:  # inf has an infinite ulp
         return f"{x:.6f}"
     return ("-" if x < 0 else "") + CoeffEstimate(ln_abs()).scientific(12)
@@ -243,6 +236,8 @@ def _log_scale_text(x: float, ln_abs) -> str:
 
 def _growth_text(args, n, ln_n) -> str:
     """log_coeff_asymptotic, past float resolution read off log_coeff_asymptotic_ln."""
+    from .asympt import log_coeff_asymptotic, log_coeff_asymptotic_ln
+
     try:
         value = log_coeff_asymptotic(args.triple, args.form, n, ln_n=ln_n)
     except OverflowError:
@@ -251,6 +246,8 @@ def _growth_text(args, n, ln_n) -> str:
 
 
 def _cmd_estimate(args, out) -> int:
+    from .asympt import CAP_FULL, asymptotic_model, coeff_asymptotic
+
     n, ln_n = _ln_n_from(args)
     model = asymptotic_model(args.triple, args.form)
     if model.capability == CAP_FULL:
@@ -284,6 +281,8 @@ def truncate4(x: float) -> float:
 
 
 def _cmd_table_w(args, out) -> int:
+    from .asympt import kotesovec_ratio
+
     key, tokens = ("n", args.n_list) if args.n_list is not None else ("log10_n", args.log10n_list)
     # every row is computed before the first prints, so a bad token prints nothing
     rows = [(token.strip(), kotesovec_ratio(**{key: float(token)})) for token in tokens.split(",")]
@@ -293,6 +292,9 @@ def _cmd_table_w(args, out) -> int:
 
 
 def _cmd_figure1(args, out) -> int:
+    from .asympt import CONSTANTS, coeff_asymptotic
+    from .series import egf_coeffs
+
     if args.nmax < 2:
         raise ValueError("--nmax must be at least 2")
     seq = egf_coeffs((0, 1, 0), "P", args.nmax)
@@ -310,6 +312,8 @@ def _cmd_figure1(args, out) -> int:
 
 
 def _cmd_compare(args, out) -> int:
+    from .series import to_decimal
+
     _nonnegative(args.limit, "--limit")
     with open(args.bfile, "r", encoding="utf-8") as fh:
         records = parse_bfile(fh.read())
@@ -336,6 +340,8 @@ def _cmd_compare(args, out) -> int:
 
 
 def _cmd_oracle(args, out) -> int:
+    from .oracle import cycle_type_sum
+
     print(cycle_type_sum(args.triple, args.form, _nonnegative(args.n, "--n")), file=out)
     return EXIT_OK
 

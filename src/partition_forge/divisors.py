@@ -15,31 +15,26 @@ route to a weight.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from itertools import compress
 from math import isqrt
 from operator import mul
 
 
-@dataclass(frozen=True)
-class AdmissibleTriple:
+class AdmissibleTriple(namedtuple("AdmissibleTriple", "i j k")):
     """Parameter triple (i, j, k) of nonnegative integers with i+j+k >= 1."""
 
-    i: int
-    j: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("i", "j", "k"):
-            v = getattr(self, name)
+    def __new__(cls, i, j, k):
+        for name, v in zip(cls._fields, (i, j, k)):
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
-        if self.i + self.j + self.k < 1:
+        if i + j + k < 1:
             raise ValueError("triple must satisfy i + j + k >= 1")
+        return super().__new__(cls, i, j, k)
 
-    def __iter__(self):
-        return iter((self.i, self.j, self.k))
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through it: both check
 
     def __str__(self):
         return f"({self.i},{self.j},{self.k})"
@@ -157,6 +152,7 @@ def psi_table(t, limit: int) -> list[int]:
 
 def cycle_weight_weighted(t, length: int, v: Fraction) -> Fraction:
     """General-v weight: sum_{d|L} v^(L/d+1) chi(d), exact rational."""
+    from fractions import Fraction
     chis, v = chi_table(t, length), Fraction(v)
     return sum(v ** (length // d + 1) * chis[d] for d in range(1, length + 1) if length % d == 0)
 

@@ -13,8 +13,8 @@ the Euler-factor sieve of ``divisors`` that the fast path reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 from .divisors import as_triple
 
@@ -56,8 +56,7 @@ def _cycle_weight(t, length: int, form: str) -> int:
     return sum(sign ** (length // d + 1) * _chi(t, d) for d in _divisors(length))
 
 
-@dataclass(frozen=True)
-class CycleType:
+class CycleType(NamedTuple):
     """A partition of n read as the cycle lengths of a permutation."""
 
     parts: tuple[int, ...]  # weakly decreasing, sum n

@@ -51,7 +51,6 @@ from __future__ import annotations
 import json
 import re
 from collections import deque
-from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -81,23 +80,46 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])  # integer arith
 _EXP_BLOCK = 32  # j-block size of the exponential recurrence: tied with 64 at N <= 1600, with narrower q
 
 
-@dataclass(frozen=True)
 class CoeffSequence:
-    """An exact coefficient run values[0..N] with its provenance tags."""
+    """An exact coefficient run values[0..N] with its provenance tags.
 
-    triple: AdmissibleTriple
-    form: str                 # "P", "Q" or "weighted"
-    kind: str                 # KIND_EGF or KIND_OGF
-    values: tuple
-    v: Fraction | None = field(default=None)
+    Immutable, equal and hashed alike when all five fields are.  Not a
+    tuple: iterating it yields its values.
+    """
 
-    def __post_init__(self):
-        if self.kind not in (KIND_EGF, KIND_OGF):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.form not in ("P", "Q", "weighted"):
-            raise ValueError(f"unknown form {self.form!r}")
-        if not self.values or self.values[0] != 1:
+    __slots__ = ("triple", "form", "kind", "values", "v")  # form "P", "Q" or "weighted"; kind KIND_EGF or KIND_OGF
+
+    def __init__(self, triple: AdmissibleTriple, form: str, kind: str, values: tuple, v: Fraction | None = None):
+        if kind not in (KIND_EGF, KIND_OGF):
+            raise ValueError(f"unknown kind {kind!r}")
+        if form not in ("P", "Q", "weighted"):
+            raise ValueError(f"unknown form {form!r}")
+        if not values or values[0] != 1:
             raise ValueError("values[0] must be 1 (empty structure)")
+        for name, value in zip(self.__slots__, (triple, form, kind, values, v)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):  # rebuilt through __init__, since __setattr__ refuses
+        return type(self), self._key()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key()))
+        return f"{type(self).__qualname__}({fields})"
 
     def __len__(self):
         return len(self.values)

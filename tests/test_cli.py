@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from partition_forge import cli
+from partition_forge import cli, oracle, series
 from partition_forge.asympt import coeff_asymptotic, log_coeff_asymptotic_ln
 from partition_forge.cli import (
     BFileError,
@@ -173,7 +173,7 @@ class TestCoeffsVerb:
     def test_every_format_past_digit_limit(self, monkeypatch, fmt):
         values = (1, 10 ** 5000 - 7, -(10 ** 4400))
         seq = CoeffSequence(AdmissibleTriple(0, 1, 0), "P", KIND_EGF, values)
-        monkeypatch.setattr(cli, "egf_coeffs", lambda triple, form, n: seq)
+        monkeypatch.setattr(series, "egf_coeffs", lambda triple, form, n: seq)
         status, out = run_cli(["coeffs", "--triple", "0,1,0", "--form", "P", "--n", "2", "--format", fmt])
         assert status == EXIT_OK
         if fmt == "plain":
@@ -197,7 +197,7 @@ class TestCoeffsVerb:
         def exhausted(triple, form, n):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "ogf_coeffs_euler", exhausted)
+        monkeypatch.setattr(series, "ogf_coeffs_euler", exhausted)
         status, out = run_cli(["coeffs", "--triple", "0,0,1", "--form", "P", "--n", "1000000000", "--ogf"])
         assert status == EXIT_DOMAIN
         assert out == ""
@@ -545,8 +545,9 @@ class TestNegativeCount:
         def refuse(*args):
             raise AssertionError("an engine ran on a negative --n")
 
-        for name in ("egf_coeffs", "egf_coeffs_weighted", "ogf_coeffs_euler", "cycle_type_sum"):
-            monkeypatch.setattr(cli, name, refuse)
+        for name in ("egf_coeffs", "egf_coeffs_weighted", "ogf_coeffs_euler"):
+            monkeypatch.setattr(series, name, refuse)
+        monkeypatch.setattr(oracle, "cycle_type_sum", refuse)
         status, out = run_cli(argv)
         assert status == EXIT_DOMAIN
         assert out == ""

@@ -1,7 +1,12 @@
 """Source-level checks on the package itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import partition_forge
 from partition_forge import series
@@ -62,3 +67,68 @@ def test_exports_resolve_once():
     names = partition_forge.__all__
     assert [name for name in names if not hasattr(partition_forge, name)] == []
     assert len(names) == len(set(names))
+
+
+def test_exports_bind_under_star_import_and_dir():
+    namespace = {}
+    exec("from partition_forge import *", namespace)
+    assert [name for name in partition_forge.__all__ if name not in namespace] == []
+    assert set(partition_forge.__all__) <= set(dir(partition_forge))
+
+
+def test_no_dataclasses_import():
+    # the records are named tuples: importing dataclasses costs every CLI process ~17 ms
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Import) and any(alias.name == "dataclasses" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+    assert found == []
+
+
+def modules_after(code: str) -> set[str]:
+    """sys.modules of a fresh interpreter after it runs code, with this tree's src/ first on the path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    probe = code + "\nimport sys\nprint(*sorted(sys.modules))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_package_import_loads_no_submodule():
+    loaded = modules_after("import partition_forge")
+    assert sorted(name for name in loaded if name.startswith("partition_forge.")) == []
+    # a submodule still loads when reached as an attribute of the package
+    loaded = modules_after("import partition_forge\npartition_forge.oracle.cycle_types")
+    assert sorted(name for name in loaded if name.startswith("partition_forge.")) == ["partition_forge.divisors", "partition_forge.oracle"]
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        pytest.param(
+            ["table-w", "--log10n-list", "1.5,100"],
+            ["partition_forge.series", "partition_forge.oracle", "dataclasses", "fractions"],
+            id="table-w",
+        ),
+        pytest.param(
+            ["coeffs", "--triple", "0,1,0", "--form", "P", "--n", "5"],
+            ["partition_forge.asympt", "partition_forge.oracle", "dataclasses"],
+            id="coeffs",
+        ),
+        pytest.param(
+            ["weighted", "--triple", "0,1,0", "--v", "1/3", "--n", "5"],
+            ["partition_forge.asympt", "partition_forge.oracle", "dataclasses"],
+            id="weighted",
+        ),
+    ],
+)
+def test_verb_loads_only_its_engine(argv, absent):
+    loaded = modules_after(
+        "import io\nfrom partition_forge import cli\n"
+        f"status = cli.run({argv!r}, out=io.StringIO())\n"
+        "if status: raise SystemExit(f'exit {status}')"
+    )
+    assert [name for name in absent if name in loaded] == []
