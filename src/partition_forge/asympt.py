@@ -91,6 +91,12 @@ def lambert_w_log(ln_x: float) -> float:
 # Residue constants and polynomials
 # ---------------------------------------------------------------------------
 
+def _check_pole(t: AdmissibleTriple, pole: int) -> None:
+    if pole == 2 and t.i < 1 or pole == 1 and t.k < 1:
+        need = "s=2 needs i" if pole == 2 else "s=1 needs k"
+        raise PoleAbsentError(f"pole absent for this triple: {need} >= 1, triple {t}")
+
+
 def residue_leading(t, form: str, pole: int) -> float:
     """Leading residue constant at the given pole of the Mellin transform.
 
@@ -100,16 +106,13 @@ def residue_leading(t, form: str, pole: int) -> float:
     """
     t = as_triple(t)
     check_form(form)
+    _check_pole(t, pole)
     i, j, k = t
     c = CONSTANTS
     if pole == 2:
-        if i < 1:
-            raise PoleAbsentError(f"pole absent for this triple: s=2 needs i >= 1, triple {t}")
         value = (-1.0) ** (i - 1) * c.zeta3 ** (j + 1) * pi ** (2 * k) / (6 ** k * factorial(i - 1))
         return value * 0.75 if form == "Q" else value
     if pole == 1:
-        if k < 1:
-            raise PoleAbsentError(f"pole absent for this triple: s=1 needs k >= 1, triple {t}")
         value = (-1.0) ** (i + k - 1) * pi ** (2 * (j + 1)) / (6 ** (j + 1) * 2 ** i * factorial(k - 1))
         return value * 0.5 if form == "Q" else value
     if pole == 0:
@@ -184,12 +187,8 @@ def residue_polynomial(t, form: str, pole: int) -> ResiduePolynomial:
     """
     t = as_triple(t)
     check_form(form)
-    key = (form, (t.i, t.j, t.k), pole)
-    if pole == 2 and t.i < 1:
-        raise PoleAbsentError(f"pole absent for this triple: s=2 needs i >= 1, triple {t}")
-    if pole == 1 and t.k < 1:
-        raise PoleAbsentError(f"pole absent for this triple: s=1 needs k >= 1, triple {t}")
-    coeffs = _POLY_TABLE.get(key)
+    _check_pole(t, pole)
+    coeffs = _POLY_TABLE.get((form, t, pole))
     if coeffs is None:
         raise NotTabulatedError(
             f"residue polynomial not tabulated for triple {t}, form {form}, pole {pole}"

@@ -42,11 +42,8 @@ class AdmissibleTriple(namedtuple("AdmissibleTriple", "i j k")):
     @classmethod
     def parse(cls, text: str) -> "AdmissibleTriple":
         """Parse a triple from a string like ``"0,1,0"``."""
-        parts = text.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"expected three comma-separated integers, got {text!r}")
         try:
-            i, j, k = (int(p.strip()) for p in parts)
+            i, j, k = map(int, text.split(","))
         except ValueError:
             raise ValueError(f"expected three comma-separated integers, got {text!r}") from None
         return cls(i, j, k)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from math import factorial
 from typing import NamedTuple
 
-from .divisors import as_triple
+from .divisors import as_triple, check_form
 
 CYCLE_SUM_BOUND = 40
 PRODUCT_BOUND = 200
@@ -111,8 +111,7 @@ def cycle_type_sums(t, form: str, upto: int) -> list[int]:
     parts in weakly decreasing order, visits every type of size <= upto.
     """
     t = as_triple(t)
-    if form not in ("P", "Q"):
-        raise ValueError(f"form must be 'P' or 'Q', got {form!r}")
+    check_form(form)
     if upto < 0:
         raise ValueError("n must be >= 0")
     if upto > CYCLE_SUM_BOUND:
@@ -143,8 +142,7 @@ def product_expand(t, form: str, upto: int) -> list[int]:
     convolution; each factor (1 + z^m) likewise, in reverse order.
     """
     t = as_triple(t)
-    if form not in ("P", "Q"):
-        raise ValueError(f"form must be 'P' or 'Q', got {form!r}")
+    check_form(form)
     if t.j != 0:
         raise ValueError(f"product expansion requires j = 0 (triple {t})")
     if upto < 0:

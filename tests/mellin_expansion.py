@@ -21,13 +21,6 @@ _NPTS = 32
 _RADIUS = "0.25"
 
 
-def mellin_transform(s, i, j, k, form):
-    value = mp.zeta(s - 1) ** i * mp.zeta(s + 1) ** (j + 1) * mp.zeta(s) ** k * mp.gamma(s)
-    if form == "Q":
-        value *= 1 - 2 ** (-s)
-    return value
-
-
 def pole_order(i, j, k, form, pole):
     if pole == 2:
         return i
@@ -41,19 +34,36 @@ def poles(i, j, k):
 
 
 @functools.cache
+def _circle(pole):
+    """The _NPTS points s on the circle about the pole, each with the
+    factors zeta(s-1), zeta(s+1), zeta(s), Gamma(s) and 1 - 2^-s of the
+    transform.  None of them depends on the triple or the form, so every
+    pair reads the same three circles."""
+    with mp.workdps(DPS):
+        radius = mp.mpf(_RADIUS)
+        points = [pole + radius * mp.e ** (2j * mp.pi * idx / _NPTS) for idx in range(_NPTS)]
+        return tuple(
+            (s, mp.zeta(s - 1), mp.zeta(s + 1), mp.zeta(s), mp.gamma(s), 1 - 2 ** (-s))
+            for s in points
+        )
+
+
+@functools.cache
 def laurent_coefficients(i, j, k, form, pole):
     """Laurent coefficients (a_-1, ..., a_-m) of the Mellin transform at
     the pole, m its order, at DPS significant digits.
 
     One npts-point circle average serves every order: the transform is
-    evaluated once per circle point.  The average is spectrally accurate,
-    because the principal part is finite and the nearest other
-    singularity is at distance 1.
+    built once per circle point from the pole's shared factor values.
+    The average is spectrally accurate, because the principal part is
+    finite and the nearest other singularity is at distance 1.
     """
     with mp.workdps(DPS):
-        radius = mp.mpf(_RADIUS)
-        points = [pole + radius * mp.e ** (2j * mp.pi * idx / _NPTS) for idx in range(_NPTS)]
-        samples = [mellin_transform(s, i, j, k, form) for s in points]
+        points, samples = [], []
+        for s, zeta_below, zeta_above, zeta_at, gamma, eta in _circle(pole):
+            value = zeta_below ** i * zeta_above ** (j + 1) * zeta_at ** k * gamma
+            points.append(s)
+            samples.append(value * eta if form == "Q" else value)
         coefficients = []
         for order in range(1, pole_order(i, j, k, form, pole) + 1):
             acc = mp.mpf(0)

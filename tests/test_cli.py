@@ -198,7 +198,7 @@ class TestCoeffsVerb:
             raise MemoryError
 
         monkeypatch.setattr(series, "ogf_coeffs_euler", exhausted)
-        status, out = run_cli(["coeffs", "--triple", "0,0,1", "--form", "P", "--n", "1000000000", "--ogf"])
+        status, out = run_cli(["coeffs", "--triple", "0,0,1", "--form", "P", "--n", "5", "--ogf"])
         assert status == EXIT_DOMAIN
         assert out == ""
         err = capsys.readouterr().err
