@@ -4,18 +4,19 @@ The machinery here mirrors the analytic pipeline that produces the
 estimates: leading residue constants A, B, C, D attached to the poles
 at s = 2, 1, 0 of the Mellin transform of log F(e^-t); the full residue
 polynomials (in log t) for the nine triples where every coefficient is
-known in closed form; a Lambert W kernel that reads only log x, so
-indices far beyond float range stay in reach; weak saddle points
-alpha(n) with r = exp(-exp(alpha(n))); first-order growth of
-log [z^n] F(z); and the closed-form coefficient estimates for the
-handful of solvable cases.
+known in closed form; a Lambert W kernel that reads only log x and
+takes one or two fourth-order steps, so indices far beyond float range
+stay in reach; weak saddle points alpha(n) with r = exp(-exp(alpha(n)));
+first-order growth of log [z^n] F(z); and the closed-form coefficient
+estimates for the handful of solvable cases.
 
 Sign conventions: the closed forms for A, B, C, D carry alternating
 signs such as (-1)^(i-1).  Saddle points and growth rates need only the
 dominant pole: the rightmost pole s, the degree p of its residue
 polynomial in log t, and the magnitude of its leading coefficient,
 taken after checking that the sign is (-1)^p (a ValueError otherwise),
-which keeps all intermediates real.
+which keeps all intermediates real.  The growth constant is checked real
+and positive once, when the record of a (triple, form) is built.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import lru_cache
-from math import exp, factorial, inf, log, pi, sqrt
+from math import exp, factorial, inf, log, log1p, pi, sqrt
 from typing import NamedTuple
 
 from .divisors import AdmissibleTriple, as_triple, check_form
@@ -60,31 +61,33 @@ class NoClosedFormError(ValueError):
 # Lambert W
 # ---------------------------------------------------------------------------
 
-def lambert_w_log(ln_x: float) -> float:
-    """Principal-branch Lambert W of x = e^(ln_x) > 0, from the logarithm alone.
+def _fsc_step(w: float, y: float) -> float:
+    # One fourth-order Fritsch-Shafer-Crowley step toward w + ln w = y, their
+    # q written as 2 (1 + w) h so that nothing overflows near the float maximum.
+    z = y - log(w) - w
+    w1 = 1.0 + w
+    h, t = w1 + 2.0 / 3.0 * z, z / w1
+    return w * (1.0 + t * (h - 0.5 * t) / (h - t))
 
-    Solves w + log(w) = ln_x by Newton iteration, so ln_x may be far
-    beyond the range where e^(ln_x) is representable.
+
+def lambert_w_log(ln_x: float) -> float:
+    """Principal-branch Lambert W of x = e^y > 0, from y = ln_x alone.
+
+    Solves w + ln w = y in fixed fourth-order Fritsch-Shafer-Crowley steps
+    (CACM 16, 1973), so y may lie far beyond float range: one step from
+    y - ln y + ln y / y for y > 8, two from Winitzki's approximation (2003)
+    for -37 < y <= 8, within 4e-15 relative.  Below, W(x) rounds to x, so
+    e^y is returned (0.0 at y = -800 or -inf); inf or NaN raises ValueError.
     """
     y = ln_x
-    if y != y:
-        raise ValueError("lambert_w_log of NaN")
-    if y > 2.0:
-        w = y - log(y)
-    elif y > 0.0:
-        w = 1.0
-    else:
-        w = exp(y)
-    for _ in range(60):
-        f = w + log(w) - y
-        dw = f * w / (w + 1.0)
-        nw = w - dw
-        if nw <= 0.0:
-            nw = w * 0.5
-        if nw == w or abs(dw) <= 4e-16 * (1.0 + abs(w)):
-            return nw
-        w = nw
-    raise ArithmeticError(f"lambert_w_log failed to converge for ln_x={ln_x}")
+    if 8.0 < y < inf:
+        return _fsc_step(y - log(y) * (1.0 - 1.0 / y), y)
+    if -37.0 < y <= 8.0:
+        a = log1p(exp(y))
+        return _fsc_step(_fsc_step(a * (1.0 - log1p(a) / (2.0 + a)), y), y)
+    if y <= -37.0:
+        return exp(y)
+    raise ValueError(f"lambert_w_log needs a real ln_x below inf, got ln_x={ln_x}")
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +246,8 @@ def _growth_record(form: str, *t) -> _GrowthRecord:
         terms = GrowthTerms(const, p / (s + 1), s / (s + 1))
     else:
         terms = GrowthTerms(c, float(p), 0.0)
+    if not 0.0 < terms.constant < inf:
+        raise ValueError(f"growth constant must be real and positive, got {terms.constant} for {t} {form}")
     residue0 = _POLY_TABLE.get((form, (t.i, t.j, t.k), 0))
     return _GrowthRecord(t, s, p, c, log(C), m, ln_scale, -m / (s + 1), terms, residue0)
 
@@ -253,11 +258,14 @@ def _growth_record(form: str, *t) -> _GrowthRecord:
 
 def _resolve_ln_n(n, ln_n, minimum: float = 0.0) -> float:
     """ln n from exactly one of n and ln_n; a ValueError names a bad value."""
-    if (n is None) == (ln_n is None):
+    if n is None and ln_n is not None:
+        value = float(ln_n)
+    elif (n is None) == (ln_n is None):
         raise ValueError("supply exactly one of n and its logarithm")
-    if n is not None and not 0 < n < inf:
+    elif 0 < n < inf:
+        value = log(n)
+    else:
         raise ValueError(f"index must be finite and positive, got n = {n}")
-    value = log(n) if n is not None else float(ln_n)
     if not minimum < value < inf:
         raise ValueError(f"index out of range: need {minimum} < ln n < inf, got ln n = {value}")
     return value
@@ -288,13 +296,7 @@ def log_growth_terms(t, form: str) -> GrowthTerms:
     ((s+1)/s) (s c / (s+1)^p)^(1/(s+1)) (ln n)^(p/(s+1)) n^(s/(s+1)),
     and at s = 0 it is c (ln n)^p.
     """
-    terms = _growth_record(form, *t).terms
-    if not (terms.constant > 0.0 and math.isfinite(terms.constant)):
-        raise ValueError(
-            f"growth constant must be real and positive, "
-            f"got {terms.constant} for {as_triple(t)} {form}"
-        )
-    return terms
+    return _growth_record(form, *t).terms
 
 
 def log_coeff_asymptotic(t, form: str, n: float | None = None, *, ln_n: float | None = None) -> float:
@@ -310,7 +312,7 @@ def log_coeff_asymptotic(t, form: str, n: float | None = None, *, ln_n: float | 
     (log2 - 1) * ln n, which coeff_asymptotic gives.
     """
     L = _resolve_ln_n(n, ln_n)
-    terms = log_growth_terms(t, form)
+    terms = _growth_record(form, *t).terms
     value = terms.constant
     if terms.log_power:
         value *= L ** terms.log_power
@@ -322,7 +324,7 @@ def log_coeff_asymptotic(t, form: str, n: float | None = None, *, ln_n: float | 
 def log_coeff_asymptotic_ln(t, form: str, n: float | None = None, *, ln_n: float | None = None) -> float:
     """ln of log_coeff_asymptotic, ln constant + log_power ln ln n + index_power ln n."""
     L = _resolve_ln_n(n, ln_n)
-    constant, log_power, index_power = log_growth_terms(t, form)
+    constant, log_power, index_power = _growth_record(form, *t).terms
     return log(constant) + log_power * log(L) + index_power * L
 
 
@@ -408,8 +410,7 @@ def coeff_asymptotic(t, form: str, n: float | None = None, *, ln_n: float | None
     """
     r = _growth_record(form, *t)
     L = _resolve_ln_n(n, ln_n, minimum=math.log(2.0) - 1e-12)
-    c = CONSTANTS
-    g = c.euler_gamma
+    g = _G
     key = (form, (r.triple.i, r.triple.j, r.triple.k))
     if key not in _FULL_COEFF:
         raise NoClosedFormError(
@@ -435,7 +436,7 @@ def coeff_asymptotic(t, form: str, n: float | None = None, *, ln_n: float | None
         ln_est = (1.0 - g) * lt + c0 + w + lt * lt / 2.0 - 0.5 * log(width)
     elif key == ("Q", (0, 1, 0)):
         # 2^(gamma - log2/2 + 1/2) / (sqrt(pi) * log2^(log2 - 1/2)) * n^(log2 - 1)
-        l2 = c.log2
+        l2 = _L2
         ln_const = (g - l2 / 2.0 + 0.5) * l2 - 0.5 * log(pi) - (l2 - 0.5) * log(l2)
         ln_est = ln_const + (l2 - 1.0) * L
     else:
@@ -468,5 +469,4 @@ def kotesovec_ratio(n: float | None = None, *, log10_n: float | None = None) -> 
     n may be given directly or as log10(n) for indices like 10^(10^5).
     """
     L = _resolve_ln_n(n, None if log10_n is None else float(log10_n) * _LN10)
-    w = lambert_w_log(CONSTANTS.euler_gamma + L)
-    return w * w / (L * L)
+    return (lambert_w_log(_G + L) / L) ** 2

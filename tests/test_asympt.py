@@ -112,6 +112,30 @@ class TestLambertW:
         with pytest.raises(ValueError):
             lambert_w_log(math.nan)
 
+    def test_underflow_returns_zero(self):
+        # W(x) rounds to x = e^y, and e^y rounds to 0.0
+        assert lambert_w_log(-800.0) == 0.0
+        assert lambert_w_log(-math.inf) == 0.0
+
+    def test_infinity_raises(self):
+        with pytest.raises(ValueError, match="ln_x=inf"):
+            lambert_w_log(math.inf)
+
+    def test_dense_sweep_against_mpmath(self):
+        # y in [-700, 10^6], log-spaced above 2, plus both neighbours of the
+        # seams of the start and step-count rule: e^y below -37, two steps
+        # from Winitzki's start up to 8, one step from the asymptotic start above
+        ys = [-700.0 + 0.3 * i for i in range(2341)]
+        ys += [2.0 * (5e5 ** (i / 6000)) for i in range(6001)]
+        for seam in (-37.0, 8.0):
+            ys += [math.nextafter(seam, -math.inf), seam, math.nextafter(seam, math.inf)]
+        worst = 0.0
+        with mp.workdps(30):
+            for y in ys:
+                exact = mp.lambertw(mp.exp(y))
+                worst = max(worst, float(abs((lambert_w_log(y) - exact) / exact)))
+        assert worst <= 1e-14
+
     def test_back_substitution_grid(self):
         for x in _grid():
             w = lambert_w_log(math.log(x))
@@ -519,6 +543,12 @@ class TestKotesovecRatio:
         assert all(a < b for a, b in zip(values, values[1:]))
         assert values[-1] == pytest.approx(1.0, abs=2e-4)
 
+    def test_finite_where_the_square_of_w_overflows(self):
+        # w^2 and (ln n)^2 leave float range past log10 n of about 5.8e153
+        for log10_n in (1e154, 1e200, 1e307):
+            value = kotesovec_ratio(log10_n=log10_n)
+            assert math.isfinite(value) and abs(value - 1.0) <= 1e-12
+
     def test_requires_exactly_one_argument(self):
         with pytest.raises(ValueError):
             kotesovec_ratio()
@@ -601,6 +631,14 @@ class TestExplicitChecks:
             _magnitude(1.0, 1)
 
     def test_nonfinite_growth_constant_raises(self, monkeypatch, cold_growth_records):
+        # checked once, in the (triple, form) record every growth entry point reads
         monkeypatch.setattr(asympt, "residue_leading", lambda t, form, pole: math.inf)
-        with pytest.raises(ValueError, match="growth constant must be real and positive"):
-            log_growth_terms((1, 0, 0), "P")
+        calls = [
+            lambda: log_growth_terms((1, 0, 0), "P"),
+            lambda: log_coeff_asymptotic((1, 0, 0), "P", ln_n=5.0),
+            lambda: log_coeff_asymptotic_ln((1, 0, 0), "P", ln_n=5.0),
+            lambda: weak_saddle_alpha((1, 0, 0), "P", ln_n=5.0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="growth constant must be real and positive"):
+                call()

@@ -429,6 +429,11 @@ class TestTableVerb:
         assert status == EXIT_OK
         assert out.splitlines() == ["4 0.7063", "100000 0.9998"]
 
+    def test_log10_row_past_square_overflow(self):
+        status, out = run_cli(["table-w", "--log10n-list", "1e300"])
+        assert status == EXIT_OK
+        assert out.splitlines() == ["1e300 1.0000"]
+
     def test_truncate4(self):
         assert truncate4(2.70326) == 2.7032
         assert truncate4(0.99989) == 0.9998
