@@ -2,13 +2,14 @@
 
 The machinery here mirrors the analytic pipeline that produces the
 estimates: leading residue constants A, B, C, D attached to the poles
-at s = 2, 1, 0 of the Mellin transform of log F(e^-t); the full residue
-polynomials (in log t) for the nine triples where every coefficient is
-known in closed form; a Lambert W kernel that reads only log x and
-takes one or two fourth-order steps, so indices far beyond float range
-stay in reach; weak saddle points alpha(n) with r = exp(-exp(alpha(n)));
-first-order growth of log [z^n] F(z); and the closed-form coefficient
-estimates for the handful of solvable cases.
+at s = 2, 1, 0 of the Mellin transform of log F(e^-t), in closed form
+for every triple; the full residue polynomials (in log t) where every
+coefficient is known, the lower ones at s = 0 from a six-row table; a
+Lambert W kernel that reads only log x and takes one or two
+fourth-order steps, so indices far beyond float range stay in reach;
+weak saddle points alpha(n) with r = exp(-exp(alpha(n))); first-order
+growth of log [z^n] F(z); and the closed-form coefficient estimates for
+the handful of solvable cases.
 
 Sign conventions: the closed forms for A, B, C, D carry alternating
 signs such as (-1)^(i-1).  Saddle points and growth rates need only the
@@ -94,10 +95,20 @@ def lambert_w_log(ln_x: float) -> float:
 # Residue constants and polynomials
 # ---------------------------------------------------------------------------
 
-def _check_pole(t: AdmissibleTriple, pole: int) -> None:
-    if pole == 2 and t.i < 1 or pole == 1 and t.k < 1:
-        need = "s=2 needs i" if pole == 2 else "s=1 needs k"
+def _pole_degree(t: AdmissibleTriple, form: str, pole: int) -> int:
+    """Degree in log t of the residue at s = pole: i - 1 at 2, k - 1 at 1, j + 1 (P)
+    or j (Q) at 0.  PoleAbsentError if that is negative; ValueError for another pole."""
+    if pole == 2:
+        degree, need = t.i - 1, "s=2 needs i"
+    elif pole == 1:
+        degree, need = t.k - 1, "s=1 needs k"
+    elif pole == 0:
+        return t.j + 1 if form == "P" else t.j
+    else:
+        raise ValueError(f"pole must be 2, 1 or 0, got {pole!r}")
+    if degree < 0:
         raise PoleAbsentError(f"pole absent for this triple: {need} >= 1, triple {t}")
+    return degree
 
 
 def residue_leading(t, form: str, pole: int) -> float:
@@ -109,7 +120,7 @@ def residue_leading(t, form: str, pole: int) -> float:
     """
     t = as_triple(t)
     check_form(form)
-    _check_pole(t, pole)
+    _pole_degree(t, form, pole)
     i, j, k = t
     c = CONSTANTS
     if pole == 2:
@@ -118,11 +129,9 @@ def residue_leading(t, form: str, pole: int) -> float:
     if pole == 1:
         value = (-1.0) ** (i + k - 1) * pi ** (2 * (j + 1)) / (6 ** (j + 1) * 2 ** i * factorial(k - 1))
         return value * 0.5 if form == "Q" else value
-    if pole == 0:
-        if form == "P":
-            return (-1.0) ** (i + j + k + 1) / (2 ** k * factorial(j + 1) * 12 ** i)
-        return c.log2 * (-1.0) ** (i + j + k) / (2 ** k * factorial(j) * 12 ** i)
-    raise ValueError(f"pole must be 2, 1 or 0, got {pole!r}")
+    if form == "P":
+        return (-1.0) ** (i + j + k + 1) / (2 ** k * factorial(j + 1) * 12 ** i)
+    return c.log2 * (-1.0) ** (i + j + k) / (2 ** k * factorial(j) * 12 ** i)
 
 
 class ResiduePolynomial(NamedTuple):
@@ -150,54 +159,44 @@ class ResiduePolynomial(NamedTuple):
 
 
 _G, _G1 = CONSTANTS.euler_gamma, CONSTANTS.stieltjes_gamma1
-_Z3, _ZP = CONSTANTS.zeta3, CONSTANTS.zeta_prime_minus1
-_L2, _L2PI = CONSTANTS.log2, CONSTANTS.log_2pi
-_PI2 = pi * pi
+_ZP, _L2, _L2PI = CONSTANTS.zeta_prime_minus1, CONSTANTS.log2, CONSTANTS.log_2pi
 
-# (form, triple, pole) -> residue polynomial coefficients, ascending in log t
-_POLY_TABLE = {
-    ("P", (1, 0, 0), 2): (_Z3,),
-    ("P", (1, 0, 0), 0): (_ZP, 1.0 / 12.0),
-    ("P", (1, 0, 1), 2): (_PI2 * _Z3 / 6.0,),
-    ("P", (1, 0, 1), 1): (-_PI2 / 12.0,),
-    ("P", (1, 0, 1), 0): (-_ZP / 2.0 + _L2PI / 24.0, -1.0 / 24.0),
-    ("P", (0, 0, 1), 1): (_PI2 / 6.0,),
-    ("P", (0, 0, 1), 0): (-_L2PI / 2.0, 0.5),
-    ("P", (0, 1, 0), 0): (_PI2 / 12.0 - _G * _G / 2.0 - 2.0 * _G1, -_G, 0.5),
-    ("Q", (1, 0, 0), 2): (3.0 * _Z3 / 4.0,),
-    ("Q", (1, 0, 0), 0): (-_L2 / 12.0,),
-    ("Q", (1, 0, 1), 2): (_PI2 * _Z3 / 8.0,),
-    ("Q", (1, 0, 1), 1): (-_PI2 / 24.0,),
-    ("Q", (1, 0, 1), 0): (_L2 / 24.0,),
-    ("Q", (0, 0, 1), 1): (_PI2 / 12.0,),
-    ("Q", (0, 0, 1), 0): (-_L2 / 2.0,),
-    ("Q", (0, 1, 0), 0): (_G * _L2 - _L2 * _L2 / 2.0, -_L2),
-    ("Q", (0, 2, 0), 0): (
-        _G * _G * _L2 / 2.0 + _PI2 * _L2 / 12.0 - _G * _L2 * _L2
+# (form, triple) -> the coefficients below the leading one of the residue at
+# s = 0, ascending in log t: the terms that no closed form here gives
+_POLE0_LOWER_TERMS = {
+    ("P", (1, 0, 0)): (_ZP,),
+    ("P", (1, 0, 1)): (-_ZP / 2.0 + _L2PI / 24.0,),
+    ("P", (0, 0, 1)): (-_L2PI / 2.0,),
+    ("P", (0, 1, 0)): (pi * pi / 12.0 - _G * _G / 2.0 - 2.0 * _G1, -_G),
+    ("Q", (0, 1, 0)): (_G * _L2 - _L2 * _L2 / 2.0,),
+    ("Q", (0, 2, 0)): (
+        _G * _G * _L2 / 2.0 + pi * pi * _L2 / 12.0 - _G * _L2 * _L2
         + _L2 ** 3 / 6.0 - 3.0 * _G1 * _L2,
         _L2 * _L2 / 2.0 - 2.0 * _G * _L2,
-        _L2 / 2.0,
     ),
 }
 _ROLE_BY_POLE = {2: "a", 1: "b"}
 
 
-def residue_polynomial(t, form: str, pole: int) -> ResiduePolynomial:
-    """Full residue polynomial for one of the tabulated (triple, form) rows.
+def _lower_terms(t: AdmissibleTriple, form: str, pole: int) -> tuple[float, ...] | None:
+    # the coefficients below the leading one, or None where they are not known
+    lower = _POLE0_LOWER_TERMS.get((form, t), ()) if pole == 0 else ()
+    return lower if len(lower) == _pole_degree(t, form, pole) else None
 
-    Raises NotTabulatedError outside the nine known rows; for a leading
-    coefficient alone, residue_leading covers every admissible triple.
+
+def residue_polynomial(t, form: str, pole: int) -> ResiduePolynomial:
+    """Full residue polynomial: its lower terms, then residue_leading's value.
+
+    Known at every pole of degree 0 and at s = 0 for the six rows of
+    _POLE0_LOWER_TERMS; NotTabulatedError elsewhere.
     """
     t = as_triple(t)
     check_form(form)
-    _check_pole(t, pole)
-    coeffs = _POLY_TABLE.get((form, t, pole))
-    if coeffs is None:
-        raise NotTabulatedError(
-            f"residue polynomial not tabulated for triple {t}, form {form}, pole {pole}"
-        )
+    lower = _lower_terms(t, form, pole)
+    if lower is None:
+        raise NotTabulatedError(f"residue polynomial not tabulated for triple {t}, form {form}, pole {pole}")
     role = _ROLE_BY_POLE.get(pole, "c" if form == "P" else "d")
-    return ResiduePolynomial(t, form, pole, role, coeffs)
+    return ResiduePolynomial(t, form, pole, role, lower + (residue_leading(t, form, pole),))
 
 
 def _magnitude(value: float, parity: int) -> float:
@@ -225,19 +224,15 @@ def _growth_record(form: str, *t) -> _GrowthRecord:
     """The dominant pole (s, p, c) of one (triple, form) and the constants read off it.
 
     s is the rightmost pole (2 if i >= 1, else 1 if k >= 1, else 0), p
-    the degree in log t of its residue polynomial (i - 1, k - 1, or at
-    s = 0 j + 1 for P and j for Q), and c the magnitude of the leading
-    coefficient, whose sign is checked against (-1)^p.  The triple comes
-    unpacked, and typed=True keeps True and 1.0 apart from 1.
+    the degree in log t of its residue polynomial (_pole_degree), and c
+    the magnitude of the leading coefficient, whose sign is checked
+    against (-1)^p.  The triple comes unpacked, and typed=True keeps
+    True and 1.0 apart from 1.
     """
     t = as_triple(t)
     check_form(form)
-    if t.i:
-        s, p = 2, t.i - 1
-    elif t.k:
-        s, p = 1, t.k - 1
-    else:
-        s, p = 0, t.j + 1 if form == "P" else t.j
+    s = 2 if t.i else 1 if t.k else 0
+    p = _pole_degree(t, form, s)
     c = _magnitude(residue_leading(t, form, s), p)
     C, m = (s * c, p) if s else (p * c, p - 1)
     ln_scale = (log((s + 1) / m) if s else -log(m)) if m else 0.0
@@ -248,7 +243,8 @@ def _growth_record(form: str, *t) -> _GrowthRecord:
         terms = GrowthTerms(c, float(p), 0.0)
     if not 0.0 < terms.constant < inf:
         raise ValueError(f"growth constant must be real and positive, got {terms.constant} for {t} {form}")
-    residue0 = _POLY_TABLE.get((form, (t.i, t.j, t.k), 0))
+    lower0 = _lower_terms(t, form, 0)
+    residue0 = None if lower0 is None else lower0 + (residue_leading(t, form, 0),)
     return _GrowthRecord(t, s, p, c, log(C), m, ln_scale, -m / (s + 1), terms, residue0)
 
 
@@ -371,9 +367,6 @@ _FULL_COEFF = {
     ("Q", (0, 2, 0)),
 }
 
-# the saddle equation is solvable wherever every residue coefficient is known
-_SOLVABLE = {(form, triple) for form, triple, _ in _POLY_TABLE}
-
 CAP_FULL = "full-coefficient"
 CAP_LOG = "log-only"
 
@@ -390,10 +383,10 @@ class AsymptoticModel(NamedTuple):
 def asymptotic_model(t, form: str) -> AsymptoticModel:
     t = as_triple(t)
     check_form(form)
-    key = (t.i, t.j, t.k)
-    if (form, key) in _FULL_COEFF:
+    if (form, t) in _FULL_COEFF:
         return AsymptoticModel(t, form, CAP_FULL)
-    if (form, key) in _SOLVABLE:
+    # the saddle equation is solvable wherever every residue coefficient is known
+    if t.i <= 1 and t.k <= 1 and _lower_terms(t, form, 0) is not None:
         note = "saddle equation solvable; only the log-scale growth estimate is implemented"
         return AsymptoticModel(t, form, CAP_LOG, note)
     return AsymptoticModel(t, form, CAP_LOG)
@@ -411,7 +404,7 @@ def coeff_asymptotic(t, form: str, n: float | None = None, *, ln_n: float | None
     r = _growth_record(form, *t)
     L = _resolve_ln_n(n, ln_n, minimum=math.log(2.0) - 1e-12)
     g = _G
-    key = (form, (r.triple.i, r.triple.j, r.triple.k))
+    key = (form, r.triple)
     if key not in _FULL_COEFF:
         raise NoClosedFormError(
             f"no closed-form coefficient estimate for triple {r.triple}, form {form}"
@@ -467,6 +460,13 @@ def kotesovec_ratio(n: float | None = None, *, log10_n: float | None = None) -> 
     constant 1/2 in front of ln^2 n from the conjectured (log 2)/2: at
     desk scale the ratio lingers near log 2, which is the numerical trap.
     n may be given directly or as log10(n) for indices like 10^(10^5).
+    Near n = 1 the ratio leaves float range: OverflowError.
     """
     L = _resolve_ln_n(n, None if log10_n is None else float(log10_n) * _LN10)
-    return (lambert_w_log(_G + L) / L) ** 2
+    try:
+        ratio = (lambert_w_log(_G + L) / L) ** 2
+    except OverflowError:  # raised by the square; w / L itself turns inf without raising
+        ratio = inf
+    if ratio < inf:
+        return ratio
+    raise OverflowError(f"ratio out of float range at ln n = {L!r}")

@@ -275,9 +275,10 @@ def truncate4(x: float) -> float:
     """Truncate toward zero at 4 decimals, the table's display precision.
 
     The reference tables truncate rather than round; a 1e-9 nudge first
-    absorbs float representation dust.
+    absorbs float representation dust.  From 2^52 on x is already integral
+    and comes back unchanged, where x * 10000 could overflow.
     """
-    return math.floor(x * 10000.0 + 1e-9) / 10000.0
+    return x if abs(x) >= 2.0 ** 52 else math.floor(x * 10000.0 + 1e-9) / 10000.0
 
 
 def _cmd_table_w(args, out) -> int:

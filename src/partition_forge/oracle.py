@@ -149,10 +149,7 @@ def product_expand(t, form: str, upto: int) -> list[int]:
         raise ValueError("upto must be >= 0")
     if upto > PRODUCT_BOUND:
         raise ValueError(f"upto={upto} exceeds the product oracle bound {PRODUCT_BOUND}")
-    coeffs = [0] * (upto + 1)
-    coeffs[0] = 1
-    if upto == 0:
-        return coeffs
+    coeffs = [1] + [0] * upto
     for m in range(1, upto + 1):
         for _ in range(_psi(t, m)):
             if form == "P":

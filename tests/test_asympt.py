@@ -248,6 +248,17 @@ class TestResiduePolynomial:
                     lead = residue_leading(triple, form, pole)
                     assert pol.leading == pytest.approx(lead, rel=1e-12)
 
+    def test_degree_zero_rows_are_the_leading_constant(self):
+        for triple, form, pole in [((1, 2, 2), "P", 2), ((2, 1, 1), "Q", 1), ((3, 0, 2), "Q", 0)]:
+            pol = residue_polynomial(triple, form, pole)
+            assert pol.coefficients == (residue_leading(triple, form, pole),)
+
+    def test_pole_outside_the_three_raises_the_leading_error(self):
+        for pole in (3, -1, 0.5):
+            with pytest.raises(ValueError, match="pole must be 2, 1 or 0") as info:
+                residue_polynomial((1, 1, 1), "P", pole)
+            assert not isinstance(info.value, NotTabulatedError)
+
     def test_evaluation(self):
         pol = residue_polynomial((0, 1, 0), "P", 0)
         x = -1.7
@@ -281,6 +292,52 @@ class TestResiduesAgainstMellinExpansion:
                         assert abs(float(mp.re(ref)) - coefficient) <= 1e-11 * scale, (
                             form, triple, pole, u
                         )
+
+    @staticmethod
+    def _present_poles(triple, form):
+        i, j, k = triple
+        return [(pole, pole_order(i, j, k, form, pole) - 1)
+                for pole in ([2] if i else []) + ([1] if k else []) + [0]]
+
+    def test_every_answered_polynomial(self):
+        answered = 0
+        with mp.workdps(30):
+            for triple in SMALL_TRIPLES:
+                for form in ("P", "Q"):
+                    for pole, degree in self._present_poles(triple, form):
+                        try:
+                            ours = residue_polynomial(triple, form, pole).coefficients
+                        except NotTabulatedError:
+                            continue
+                        answered += 1
+                        assert len(ours) == degree + 1
+                        laurent = laurent_coefficients(*triple, form, pole)
+                        for u, coefficient in enumerate(ours):
+                            ref = mp.re((-1) ** u * laurent[u] / mp.factorial(u))
+                            scale = max(abs(float(ref)), 1e-12)
+                            assert abs(float(ref) - coefficient) <= 1e-11 * scale, (form, triple, pole, u)
+        assert answered == 50
+
+    def test_refusals_have_positive_degree_and_no_table_row(self):
+        refused = []
+        for triple in SMALL_TRIPLES:
+            for form in ("P", "Q"):
+                for pole, degree in self._present_poles(triple, form):
+                    try:
+                        residue_polynomial(triple, form, pole)
+                    except NotTabulatedError:
+                        refused.append((form, triple, pole))
+                        assert degree > 0
+                        assert pole != 0 or (form, triple) not in asympt._POLE0_LOWER_TERMS
+        assert len(refused) == 124 - 50
+
+    def test_lower_term_rows_hold_exactly_degree_entries(self):
+        # a row that also carried its leading coefficient would be one too long
+        assert len(asympt._POLE0_LOWER_TERMS) == 6
+        for (form, triple), lower in asympt._POLE0_LOWER_TERMS.items():
+            degree = pole_order(*triple, form, 0) - 1
+            assert len(lower) == degree > 0, (form, triple)
+            assert residue_polynomial(triple, form, 0).coefficients[:-1] == lower
 
     def test_leading_constants_over_small_grid(self):
         with mp.workdps(30):
@@ -548,6 +605,19 @@ class TestKotesovecRatio:
         for log10_n in (1e154, 1e200, 1e307):
             value = kotesovec_ratio(log10_n=log10_n)
             assert math.isfinite(value) and abs(value - 1.0) <= 1e-12
+
+    def test_largest_ratio_near_one_is_finite(self):
+        # (w / ln n)^2 is about 1.2e307 here; the next decade down leaves float range
+        value = kotesovec_ratio(log10_n=1e-154)
+        assert 1e307 < value < math.inf
+        assert truncate4(value) == value
+
+    @pytest.mark.parametrize("log10_n", [1e-155, 1e-200, 1e-310])
+    def test_ratio_past_float_range_near_one_raises(self, log10_n):
+        # at 1e-310 already w / ln n is inf, so no exception comes from the square
+        ln_n = log10_n * math.log(10.0)
+        with pytest.raises(OverflowError, match=f"ratio out of float range at ln n = {ln_n!r}"):
+            kotesovec_ratio(log10_n=log10_n)
 
     def test_requires_exactly_one_argument(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from partition_forge import cli, oracle, series
-from partition_forge.asympt import coeff_asymptotic, log_coeff_asymptotic_ln
+from partition_forge.asympt import coeff_asymptotic, kotesovec_ratio, log_coeff_asymptotic_ln
 from partition_forge.cli import (
     BFileError,
     BFileRecord,
@@ -288,6 +288,12 @@ class TestWeightedVerb:
         assert tokens[0] == "1"
         assert "/" in out  # fractional values rendered as num/den
 
+    def test_zero_denominator_is_usage_error(self, capsys):
+        status, out = run_cli(["weighted", "--triple", "0,1,0", "--v", "1/0", "--n", "4"])
+        assert status == EXIT_USAGE
+        assert out == ""
+        assert "bad rational '1/0'" in capsys.readouterr().err
+
     def test_negative_fraction_after_a_space(self):
         spaced = run_cli(["weighted", "--triple", "0,1,0", "--v", "-7/2", "--n", "4"])
         joined = run_cli(["weighted", "--triple", "0,1,0", "--v=-7/2", "--n", "4"])
@@ -407,6 +413,8 @@ class TestBadIndex:
             ["table-w", "--log10n-list", "-1"],
             ["table-w", "--n-list", "10,0"],
             ["table-w", "--n-list", "1000,inf"],
+            ["table-w", "--log10n-list", "1e-155"],
+            ["table-w", "--log10n-list", "4,1e-310"],
         ],
     )
     def test_rejected_before_any_output(self, argv, capsys):
@@ -438,6 +446,18 @@ class TestTableVerb:
         assert truncate4(2.70326) == 2.7032
         assert truncate4(0.99989) == 0.9998
         assert truncate4(0.6899) == 0.6899
+
+    def test_log10_row_near_one(self):
+        # the ratio is about 1.2e307, where x * 10000 would overflow
+        status, out = run_cli(["table-w", "--log10n-list", "1e-154"])
+        assert status == EXIT_OK
+        token, value = out.split()
+        assert token == "1e-154"
+        assert float(value) == kotesovec_ratio(log10_n=1e-154)
+
+    @pytest.mark.parametrize("x", [2.0 ** 52, 2.0 ** 53 + 2.0, 1.2e307, -1.7e308])
+    def test_truncate4_returns_integral_values_unchanged(self, x):
+        assert truncate4(x) == x
 
 
 class TestFigure1Verb:
@@ -507,6 +527,27 @@ class TestCompareVerb:
         assert status == EXIT_DOMAIN
         assert out == ""
         assert capsys.readouterr().err == "error: --limit must be >= 0\n"
+
+    def test_empty_bfile_is_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        status, out = run_cli(
+            ["compare", "--triple", "0,0,1", "--form", "P", "--bfile", str(path), "--ogf"]
+        )
+        assert status == EXIT_DOMAIN
+        assert out == ""
+        assert capsys.readouterr().err == f"error: no records in b-file {path}\n"
+
+    def test_offset_past_every_index_is_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "ref.txt"
+        path.write_text("0 1\n1 1\n2 2\n")
+        status, out = run_cli(
+            ["compare", "--triple", "0,0,1", "--form", "P", "--bfile", str(path),
+             "--offset", "3", "--ogf"]
+        )
+        assert status == EXIT_DOMAIN
+        assert out == ""
+        assert capsys.readouterr().err == "error: empty overlap between computed sequence and reference\n"
 
     def test_missing_file_is_domain_error(self, tmp_path):
         status, _ = run_cli(

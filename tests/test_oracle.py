@@ -87,6 +87,10 @@ class TestCycleTypeSums:
         with pytest.raises(ValueError, match="oracle bound"):
             cycle_type_sums((0, 1, 0), "P", CYCLE_SUM_BOUND + 1)
 
+    def test_rejects_negative_n(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            cycle_type_sums((0, 1, 0), "P", -1)
+
 
 class TestProductExpand:
     def test_partitions(self):
@@ -105,6 +109,13 @@ class TestProductExpand:
     def test_bound_enforced(self):
         with pytest.raises(ValueError):
             product_expand((0, 0, 1), "P", 500)
+
+    def test_rejects_negative_upto(self):
+        with pytest.raises(ValueError, match="upto must be >= 0"):
+            product_expand((0, 0, 1), "P", -1)
+
+    def test_empty_expansion(self):
+        assert product_expand((1, 0, 1), "Q", 0) == [1]
 
     @pytest.mark.parametrize("triple", [(1, 0, 0), (0, 0, 2), (1, 0, 1), (2, 0, 0)])
     @pytest.mark.parametrize("form", ["P", "Q"])

@@ -86,6 +86,10 @@ class TestEgfCoeffs:
     def test_empty_product(self):
         assert egf_coeffs((1, 1, 1), "P", 0).values == (1,)
 
+    def test_rejects_negative_upto(self):
+        with pytest.raises(ValueError, match="upto must be >= 0"):
+            egf_coeffs((0, 1, 0), "P", -1)
+
     @pytest.mark.parametrize("triple", ROUTE_TRIPLES)
     @pytest.mark.parametrize("form", ["P", "Q"])
     def test_matches_rational_route(self, triple, form):
@@ -122,6 +126,10 @@ class TestWeighted:
     def test_v_minus_one_is_q(self):
         assert list(egf_coeffs_weighted((0, 1, 0), -1, 4).values) == [1, 1, 1, 5, 11]
 
+    def test_rejects_negative_upto(self):
+        with pytest.raises(ValueError, match="upto must be >= 0"):
+            egf_coeffs_weighted((0, 1, 0), 1, -1)
+
     def test_v_zero_kills_everything(self):
         assert list(egf_coeffs_weighted((0, 1, 0), 0, 4).values) == [1, 0, 0, 0, 0]
 
@@ -153,6 +161,10 @@ class TestOgfCoeffs:
 
     def test_plane_partition_numbers(self):
         assert ogf_coeffs_euler((1, 0, 0), "P", 5).values == (1, 1, 3, 6, 13, 24)
+
+    def test_rejects_negative_upto(self):
+        with pytest.raises(ValueError, match="upto must be >= 0"):
+            ogf_coeffs_euler((0, 0, 1), "P", -1)
 
     def test_rejects_positive_j(self):
         with pytest.raises(ValueError):
