@@ -15,12 +15,11 @@ _EXPORTS = {  # submodule -> the names it exports
         "CoeffSequence", "egf_coeffs", "egf_coeffs_weighted", "from_decimal", "ogf_coeffs_euler",
         "to_bfile", "to_decimal", "to_json",
     ),
-    "oracle": ("CycleType", "cycle_type_sum", "cycle_type_sums", "cycle_types", "product_expand"),
+    "oracle": ("cycle_type_sum", "cycle_type_sums", "product_expand"),
     "asympt": (
-        "CONSTANTS", "AsymptoticModel", "CoeffEstimate", "MathConstants", "NoClosedFormError",
-        "NotTabulatedError", "PoleAbsentError", "ResiduePolynomial", "asymptotic_model",
-        "coeff_asymptotic", "kotesovec_ratio", "lambert_w_log", "log_coeff_asymptotic",
-        "residue_leading", "residue_polynomial", "weak_saddle_alpha",
+        "CONSTANTS", "CoeffEstimate", "MathConstants", "NoClosedFormError", "NotTabulatedError",
+        "PoleAbsentError", "ResiduePolynomial", "coeff_asymptotic", "kotesovec_ratio", "lambert_w_log",
+        "log_coeff_asymptotic", "residue_leading", "residue_polynomial", "weak_saddle_alpha",
     ),
     "cli": ("BFileRecord", "ComparisonReport", "compare_sequence", "parse_bfile"),
 }

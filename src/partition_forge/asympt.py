@@ -9,7 +9,7 @@ Lambert W kernel that reads only log x and takes one or two
 fourth-order steps, so indices far beyond float range stay in reach;
 weak saddle points alpha(n) with r = exp(-exp(alpha(n))); first-order
 growth of log [z^n] F(z); and the closed-form coefficient estimates for
-the handful of solvable cases.
+the five (triple, form) pairs that have one.
 
 Sign conventions: the closed forms for A, B, C, D carry alternating
 signs such as (-1)^(i-1).  Saddle points and growth rates need only the
@@ -96,16 +96,16 @@ def lambert_w_log(ln_x: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _pole_degree(t: AdmissibleTriple, form: str, pole: int) -> int:
-    """Degree in log t of the residue at s = pole: i - 1 at 2, k - 1 at 1, j + 1 (P)
-    or j (Q) at 0.  PoleAbsentError if that is negative; ValueError for another pole."""
+    """Degree in log t of the residue at s = pole: i - 1 at 2, k - 1 at 1, j + 1 (P) or j (Q)
+    at 0.  PoleAbsentError if that is negative; ValueError for another pole, a bool or a float."""
+    if not isinstance(pole, int) or isinstance(pole, bool) or pole not in (2, 1, 0):
+        raise ValueError(f"pole must be 2, 1 or 0, got {pole!r}")
     if pole == 2:
         degree, need = t.i - 1, "s=2 needs i"
     elif pole == 1:
         degree, need = t.k - 1, "s=1 needs k"
-    elif pole == 0:
-        return t.j + 1 if form == "P" else t.j
     else:
-        raise ValueError(f"pole must be 2, 1 or 0, got {pole!r}")
+        return t.j + 1 if form == "P" else t.j
     if degree < 0:
         raise PoleAbsentError(f"pole absent for this triple: {need} >= 1, triple {t}")
     return degree
@@ -216,7 +216,7 @@ class GrowthTerms(NamedTuple):
     index_power: float
 
 
-_GrowthRecord = namedtuple("_GrowthRecord", "triple s p c ln_C m ln_scale factor terms residue0")
+_GrowthRecord = namedtuple("_GrowthRecord", "triple s ln_C m ln_scale factor terms residue0")
 
 
 @lru_cache(maxsize=256, typed=True)  # every (triple, form) with i, j, k <= 4 fits
@@ -245,7 +245,7 @@ def _growth_record(form: str, *t) -> _GrowthRecord:
         raise ValueError(f"growth constant must be real and positive, got {terms.constant} for {t} {form}")
     lower0 = _lower_terms(t, form, 0)
     residue0 = None if lower0 is None else lower0 + (residue_leading(t, form, 0),)
-    return _GrowthRecord(t, s, p, c, log(C), m, ln_scale, -m / (s + 1), terms, residue0)
+    return _GrowthRecord(t, s, log(C), m, ln_scale, -m / (s + 1), terms, residue0)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +325,7 @@ def log_coeff_asymptotic_ln(t, form: str, n: float | None = None, *, ln_n: float
 
 
 # ---------------------------------------------------------------------------
-# Full coefficient estimates for the solvable cases
+# Full coefficient estimates for the closed-form pairs
 # ---------------------------------------------------------------------------
 
 _LN10 = math.log(10.0)
@@ -359,6 +359,7 @@ class CoeffEstimate(NamedTuple):
         return exp(self.ln)
 
 
+# the (form, triple) pairs with a closed-form coefficient estimate
 _FULL_COEFF = {
     ("P", (0, 0, 1)),
     ("Q", (0, 0, 1)),
@@ -367,48 +368,25 @@ _FULL_COEFF = {
     ("Q", (0, 2, 0)),
 }
 
-CAP_FULL = "full-coefficient"
-CAP_LOG = "log-only"
-
-
-class AsymptoticModel(NamedTuple):
-    """What kind of estimate is available for a (triple, form) pair."""
-
-    triple: AdmissibleTriple
-    form: str
-    capability: str     # CAP_FULL or CAP_LOG
-    note: str = ""
-
-
-def asymptotic_model(t, form: str) -> AsymptoticModel:
-    t = as_triple(t)
-    check_form(form)
-    if (form, t) in _FULL_COEFF:
-        return AsymptoticModel(t, form, CAP_FULL)
-    # the saddle equation is solvable wherever every residue coefficient is known
-    if t.i <= 1 and t.k <= 1 and _lower_terms(t, form, 0) is not None:
-        note = "saddle equation solvable; only the log-scale growth estimate is implemented"
-        return AsymptoticModel(t, form, CAP_LOG, note)
-    return AsymptoticModel(t, form, CAP_LOG)
-
 
 def coeff_asymptotic(t, form: str, n: float | None = None, *, ln_n: float | None = None) -> CoeffEstimate:
     """Closed-form estimate of [z^n] F(z), evaluated in log space.
 
     Available exactly where the closed forms exist: (0,0,1) for both
-    forms, (0,1,0) for both forms, and (0,2,0) for Q.  For the cycle-sum
+    forms, (0,1,0) for both forms, and (0,2,0) for Q; any other pair
+    raises NoClosedFormError before the index is read.  For the cycle-sum
     families the coefficient being estimated is [z^n] F(z) = p_n / n!.
     Square roots of log factors that are negative for every finite index
     are evaluated on the real branch, i.e. with the magnitude of the log.
     """
     r = _growth_record(form, *t)
-    L = _resolve_ln_n(n, ln_n, minimum=math.log(2.0) - 1e-12)
-    g = _G
     key = (form, r.triple)
-    if key not in _FULL_COEFF:
+    if key not in _FULL_COEFF:  # before n is read, so a caller can fall back to the growth law at any index
         raise NoClosedFormError(
             f"no closed-form coefficient estimate for triple {r.triple}, form {form}"
         )
+    L = _resolve_ln_n(n, ln_n, minimum=math.log(2.0) - 1e-12)
+    g = _G
     if key == ("P", (0, 0, 1)):
         # exp(pi*sqrt(2n/3)) / (4*sqrt(3)*n)
         ln_est = pi * sqrt(2.0 * exp(L) / 3.0) - log(4.0 * sqrt(3.0)) - L

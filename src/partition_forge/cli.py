@@ -246,21 +246,19 @@ def _growth_text(args, n, ln_n) -> str:
 
 
 def _cmd_estimate(args, out) -> int:
-    from .asympt import CAP_FULL, asymptotic_model, coeff_asymptotic
+    from .asympt import NoClosedFormError, coeff_asymptotic
 
     n, ln_n = _ln_n_from(args)
-    model = asymptotic_model(args.triple, args.form)
-    if model.capability == CAP_FULL:
-        try:
-            est = coeff_asymptotic(args.triple, args.form, n, ln_n=ln_n)
-            lines = [f"ln_estimate = {_log_scale_text(est.ln, lambda: log(abs(est.ln)))}"]
-            if 10.0 * log(10.0) * math.ulp(est.log10) < 1e-3:  # an ulp moves the mantissa < 1e-3
-                lines.append(f"estimate ~ {est.scientific()}")
-        except OverflowError:  # past float range ln_estimate is its first-order law, to float precision
-            lines = [f"ln_estimate = {_growth_text(args, n, ln_n)}"]
-    else:
-        note = model.note or "no closed-form coefficient estimate for this case"
-        lines = [f"log-only: {note}", f"log_coeff_growth = {_growth_text(args, n, ln_n)}"]
+    try:
+        est = coeff_asymptotic(args.triple, args.form, n, ln_n=ln_n)
+        lines = [f"ln_estimate = {_log_scale_text(est.ln, lambda: log(abs(est.ln)))}"]
+        if 10.0 * log(10.0) * math.ulp(est.log10) < 1e-3:  # an ulp moves the mantissa < 1e-3
+            lines.append(f"estimate ~ {est.scientific()}")
+    except NoClosedFormError:  # raised before n is read: the growth law prints at every index it takes
+        growth = _growth_text(args, n, ln_n)
+        lines = ["log-only: no closed-form coefficient estimate for this case", f"log_coeff_growth = {growth}"]
+    except OverflowError:  # past float range ln_estimate is its first-order law, to float precision
+        lines = [f"ln_estimate = {_growth_text(args, n, ln_n)}"]
     print(f"triple={args.triple} form={args.form}", file=out)
     print("\n".join(lines), file=out)
     return EXIT_OK

@@ -14,7 +14,6 @@ the Euler-factor sieve of ``divisors`` that the fast path reads.
 from __future__ import annotations
 
 from math import factorial
-from typing import NamedTuple
 
 from .divisors import as_triple, check_form
 
@@ -54,52 +53,6 @@ def _cycle_weight(t, length: int, form: str) -> int:
     """W(L) = sum over d | L of chi(d), with sign (-1)^(L/d+1) for Q."""
     sign = -1 if form == "Q" else 1
     return sum(sign ** (length // d + 1) * _chi(t, d) for d in _divisors(length))
-
-
-class CycleType(NamedTuple):
-    """A partition of n read as the cycle lengths of a permutation."""
-
-    parts: tuple[int, ...]  # weakly decreasing, sum n
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    def symmetry_factor(self) -> int:
-        """z = prod_m m^(c_m) c_m!; n!/z permutations share this cycle type."""
-        z = 1
-        run_val, run_len = 0, 0
-        for part in self.parts:
-            if part == run_val:
-                run_len += 1
-            else:
-                run_val, run_len = part, 1
-            z *= part * run_len
-        return z
-
-    def permutation_count(self) -> int:
-        return factorial(self.size) // self.symmetry_factor()
-
-
-def cycle_types(n: int):
-    """Yield every CycleType of size n in reverse-lexicographic order."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        yield CycleType(())
-        return
-    parts: list[int] = []
-
-    def descend(remaining, largest):
-        if remaining == 0:
-            yield CycleType(tuple(parts))
-            return
-        for part in range(min(remaining, largest), 0, -1):
-            parts.append(part)
-            yield from descend(remaining - part, part)
-            parts.pop()
-
-    yield from descend(n, n)
 
 
 def cycle_type_sums(t, form: str, upto: int) -> list[int]:

@@ -1,18 +1,16 @@
 import math
+import re
 
 import mpmath as mp
 import pytest
 import scipy.special
 
 from partition_forge.asympt import (
-    CAP_FULL,
-    CAP_LOG,
     CONSTANTS,
     CoeffEstimate,
     NoClosedFormError,
     NotTabulatedError,
     PoleAbsentError,
-    asymptotic_model,
     coeff_asymptotic,
     kotesovec_ratio,
     lambert_w_log,
@@ -192,6 +190,15 @@ class TestResidueLeading:
             residue_leading((0, 1, 0), "P", 2)
         with pytest.raises(PoleAbsentError):
             residue_leading((1, 1, 0), "P", 1)
+
+    @pytest.mark.parametrize("pole", [True, False, 2.0, 1.0, 0.0])
+    def test_bool_and_float_poles_are_rejected(self, pole):
+        # pole 2.0 equals 2 and True equals 1, but neither is an int pole
+        for call in (residue_leading, residue_polynomial):
+            with pytest.raises(ValueError, match=f"^pole must be 2, 1 or 0, got {pole!r}$"):
+                call((1, 1, 1), "P", pole)
+        with pytest.raises(ValueError, match="pole must be 2, 1 or 0"):
+            residue_polynomial((0, 0, 1), "P", pole)
 
 
 class TestResiduePolynomial:
@@ -495,28 +502,6 @@ class TestLogCoeffAsymptotic:
         )
 
 
-class TestAsymptoticModel:
-    def test_full_coefficient_cases(self):
-        for form, triple in [("P", (0, 0, 1)), ("Q", (0, 0, 1)), ("P", (0, 1, 0)),
-                             ("Q", (0, 1, 0)), ("Q", (0, 2, 0))]:
-            assert asymptotic_model(triple, form).capability == CAP_FULL
-
-    def test_solvable_but_log_only(self):
-        for form, triple in [("P", (1, 0, 0)), ("P", (1, 0, 1)),
-                             ("Q", (1, 0, 0)), ("Q", (1, 0, 1))]:
-            model = asymptotic_model(triple, form)
-            assert model.capability == CAP_LOG
-            assert "solvable" in model.note
-
-    def test_generic_log_only(self):
-        model = asymptotic_model((2, 2, 2), "P")
-        assert model.capability == CAP_LOG
-        assert model.note == ""
-
-    def test_p_020_has_no_full_form(self):
-        assert asymptotic_model((0, 2, 0), "P").capability == CAP_LOG
-
-
 class TestCoeffAsymptotic:
     def test_partition_estimate_at_100(self):
         est = coeff_asymptotic((0, 0, 1), "P", 100)
@@ -547,6 +532,23 @@ class TestCoeffAsymptotic:
             coeff_asymptotic((1, 0, 0), "P", 50)
         with pytest.raises(NoClosedFormError):
             coeff_asymptotic((0, 2, 0), "P", 50)
+
+    def test_closed_form_exactly_for_the_five_pairs(self):
+        full = {((0, 0, 1), "P"), ((0, 0, 1), "Q"), ((0, 1, 0), "P"), ((0, 1, 0), "Q"), ((0, 2, 0), "Q")}
+        pairs = [(t, form) for t in SMALL_TRIPLES for form in ("P", "Q")]
+        assert len(pairs) == 52 and full <= set(pairs)
+        for t, form in pairs:
+            if (t, form) in full:
+                assert math.isfinite(coeff_asymptotic(t, form, 100).ln)
+                with pytest.raises(ValueError, match="index out of range") as info:  # the closed forms need n >= 2
+                    coeff_asymptotic(t, form, 1.5)
+                assert not isinstance(info.value, NoClosedFormError)
+                continue
+            # the pair is checked before the index is read, so an index below 2,
+            # or one that is not valid at all, gives this error too
+            for n in (100, 1.5, 0):
+                with pytest.raises(NoClosedFormError, match=re.escape(f"triple {AdmissibleTriple(*t)}, form {form}")):
+                    coeff_asymptotic(t, form, n)
 
     def test_estimate_view(self):
         est = coeff_asymptotic((0, 0, 1), "P", 100)

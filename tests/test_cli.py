@@ -311,6 +311,21 @@ class TestEstimateVerbs:
         status, out = run_cli(["estimate", "--triple", "1,0,0", "--form", "P", "--n", "100"])
         assert status == EXIT_OK
         assert "log-only" in out
+        # every pair without a closed form prints the one generic line, (1,0,0) and (1,0,1) included
+        for triple in ("1,0,0", "1,0,1", "2,2,2"):
+            for form in ("P", "Q"):
+                status, out = run_cli(["estimate", "--triple", triple, "--form", form, "--n", "100"])
+                assert status == EXIT_OK
+                lines = out.splitlines()
+                assert lines[1:2] == ["log-only: no closed-form coefficient estimate for this case"]
+                assert lines[2].startswith("log_coeff_growth = ") and len(lines) == 3
+
+    def test_log_only_pair_takes_an_index_below_two(self):
+        # the closed forms need n >= 2; the growth law of a log-only pair only n > 1
+        status, out = run_cli(["estimate", "--triple", "1,0,0", "--form", "P", "--n", "1.5"])
+        assert status == EXIT_OK
+        assert out.splitlines()[2].startswith("log_coeff_growth = ")
+        assert run_cli(["estimate", "--triple", "0,0,1", "--form", "P", "--n", "1.5"])[0] == EXIT_DOMAIN
 
     def test_huge_index_estimate(self):
         status, out = run_cli(

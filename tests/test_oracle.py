@@ -4,14 +4,29 @@ import pytest
 
 from partition_forge.oracle import (
     CYCLE_SUM_BOUND,
-    CycleType,
     _cycle_weight,
     cycle_type_sum,
     cycle_type_sums,
-    cycle_types,
     product_expand,
 )
 from partition_forge.series import egf_coeffs, ogf_coeffs_euler
+
+
+def cycle_types(n, largest=None):
+    """Every partition of n, parts weakly decreasing, read as the cycle lengths of a permutation.
+
+    A second enumeration beside the walk inside cycle_type_sums, kept apart from it.
+    """
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in cycle_types(n - part, part):
+            yield (part,) + rest
+
+
+def symmetry_factor(parts):
+    """z = prod_m m^(c_m) c_m!, with c_m the number of parts equal to m; n!/z permutations have these cycles."""
+    return prod(m ** parts.count(m) * factorial(parts.count(m)) for m in set(parts))
 
 
 class TestCycleTypes:
@@ -22,18 +37,17 @@ class TestCycleTypes:
 
     def test_symmetry_factor_divides_factorial(self):
         for n in range(9):
-            for ct in cycle_types(n):
-                assert factorial(n) % ct.symmetry_factor() == 0
+            for parts in cycle_types(n):
+                assert factorial(n) % symmetry_factor(parts) == 0
 
     def test_permutation_counts_sum_to_factorial(self):
         for n in range(1, 9):
-            assert sum(ct.permutation_count() for ct in cycle_types(n)) == factorial(n)
+            assert sum(factorial(n) // symmetry_factor(parts) for parts in cycle_types(n)) == factorial(n)
 
     def test_single_type(self):
-        ct = CycleType((2, 1, 1))
-        assert ct.size == 4
-        assert ct.symmetry_factor() == 2 * 1 * 2  # 2^1*1! * 1^2*2!
-        assert ct.permutation_count() == 6
+        assert (2, 1, 1) in cycle_types(4)
+        assert symmetry_factor((2, 1, 1)) == 2 * 1 * 2  # 2^1*1! * 1^2*2!
+        assert factorial(4) // symmetry_factor((2, 1, 1)) == 6
 
 
 class TestCycleTypeSum:
@@ -63,10 +77,11 @@ class TestCycleTypeSums:
     @pytest.mark.parametrize("triple", [(0, 1, 0), (2, 0, 1), (1, 2, 2)])
     @pytest.mark.parametrize("form", ["P", "Q"])
     def test_matches_a_sum_over_the_types_of_each_size(self, triple, form):
-        # the one walk over all sizes against cycle_types(n), one size at a time
+        # the one walk over all sizes against this file's cycle_types(n), one size at a time
         weights = [0] + [_cycle_weight(triple, length, form) for length in range(1, 13)]
         expected = [
-            sum(ct.permutation_count() * prod(weights[part] for part in ct.parts) for ct in cycle_types(n))
+            sum(factorial(n) // symmetry_factor(parts) * prod(weights[part] for part in parts)
+                for parts in cycle_types(n))
             for n in range(13)
         ]
         assert cycle_type_sums(triple, form, 12) == expected

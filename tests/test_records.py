@@ -7,10 +7,9 @@ import re
 
 import pytest
 
-from partition_forge.asympt import CAP_LOG, CONSTANTS, AsymptoticModel, CoeffEstimate, residue_polynomial
+from partition_forge.asympt import CONSTANTS, CoeffEstimate, residue_polynomial
 from partition_forge.cli import BFileRecord, ComparisonReport
 from partition_forge.divisors import AdmissibleTriple
-from partition_forge.oracle import CycleType
 from partition_forge.series import KIND_EGF, KIND_OGF, CoeffSequence
 
 T = AdmissibleTriple(0, 1, 0)
@@ -18,13 +17,10 @@ SEQ = CoeffSequence(triple=T, form="P", kind=KIND_EGF, values=(1, 1, 3))
 
 RECORDS = {
     "AdmissibleTriple(i=0, j=1, k=0)": T,
-    "CycleType(parts=(2, 1))": CycleType((2, 1)),
     "BFileRecord(index=1, value=5)": BFileRecord(1, 5),
     "ComparisonReport(matched_prefix_length=3, first_mismatch=(3, 12, 11), offset_applied=0, overlap_length=4)":
         ComparisonReport(3, (3, 12, 11), 0, 4),
     "CoeffEstimate(ln=1.5)": CoeffEstimate(1.5),
-    "AsymptoticModel(triple=AdmissibleTriple(i=1, j=0, k=0), form='P', capability='log-only', note='')":
-        AsymptoticModel(AdmissibleTriple(1, 0, 0), "P", CAP_LOG),
     "ResiduePolynomial(triple=AdmissibleTriple(i=0, j=0, k=1), form='Q', pole=0, role='d', "
     "coefficients=(-0.34657359027997264,))": residue_polynomial((0, 0, 1), "Q", 0),
     "MathConstants(pi=3.141592653589793, euler_gamma=0.5772156649015329, stieltjes_gamma1=-0.07281584548367673, "
@@ -60,7 +56,6 @@ def test_records_equal_plain_tuples_of_their_fields():
         assert record == tuple(record)
         assert hash(record) == hash(tuple(record))
     assert T == (0, 1, 0) and BFileRecord(1, 5) == (1, 5)
-    assert CycleType((2, 1)) == ((2, 1),)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -76,6 +77,19 @@ def test_exports_bind_under_star_import_and_dir():
     assert set(partition_forge.__all__) <= set(dir(partition_forge))
 
 
+def test_readme_records_paragraph_names_exactly_the_exported_tuple_records():
+    # the paragraph runs from its lead-in to the first bullet below it
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    paragraph = text.split("The records are named tuples:", 1)[1].split("\n*", 1)[0]
+    named = re.findall(r"`(\w+)`", paragraph)
+    exported = [
+        name for name in partition_forge.__all__
+        if isinstance(value := getattr(partition_forge, name), type) and issubclass(value, tuple)
+    ]
+    assert len(named) == len(set(named))
+    assert sorted(named) == sorted(exported)
+
+
 def test_no_dataclasses_import():
     # the records are named tuples: importing dataclasses costs every CLI process ~17 ms
     found = [
@@ -101,7 +115,7 @@ def test_package_import_loads_no_submodule():
     loaded = modules_after("import partition_forge")
     assert sorted(name for name in loaded if name.startswith("partition_forge.")) == []
     # a submodule still loads when reached as an attribute of the package
-    loaded = modules_after("import partition_forge\npartition_forge.oracle.cycle_types")
+    loaded = modules_after("import partition_forge\npartition_forge.oracle.cycle_type_sums")
     assert sorted(name for name in loaded if name.startswith("partition_forge.")) == ["partition_forge.divisors", "partition_forge.oracle"]
 
 
