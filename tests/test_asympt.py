@@ -502,6 +502,46 @@ class TestLogCoeffAsymptotic:
         )
 
 
+# coeff_asymptotic alone says which pairs have a closed-form coefficient estimate:
+# it returns one for these five and raises NoClosedFormError for every other pair.
+FULL_PAIRS = {((0, 0, 1), "P"), ((0, 0, 1), "Q"), ((0, 1, 0), "P"), ((0, 1, 0), "Q"), ((0, 2, 0), "Q")}
+
+
+def assert_log_only(t, form):
+    # the pair is checked before the index is read, so an index below 2,
+    # or one that is not valid at all, gives this error too
+    for n in (100, 1.5, 0):
+        with pytest.raises(NoClosedFormError, match=re.escape(f"triple {AdmissibleTriple(*t)}, form {form}")):
+            coeff_asymptotic(t, form, n)
+
+
+class TestAsymptoticModel:
+    def test_full_coefficient_cases(self):
+        pairs = [(t, form) for t in SMALL_TRIPLES for form in ("P", "Q")]
+        assert len(pairs) == 52 and FULL_PAIRS <= set(pairs)
+        for t, form in sorted(FULL_PAIRS):
+            assert math.isfinite(coeff_asymptotic(t, form, 100).ln)
+            with pytest.raises(ValueError, match="index out of range") as info:  # the closed forms need n >= 2
+                coeff_asymptotic(t, form, 1.5)
+            assert not isinstance(info.value, NoClosedFormError)
+
+    def test_solvable_but_log_only(self):
+        # these four once carried a "saddle equation solvable" note; they are log-only like any other pair
+        for form, triple in [("P", (1, 0, 0)), ("P", (1, 0, 1)),
+                             ("Q", (1, 0, 0)), ("Q", (1, 0, 1))]:
+            assert_log_only(triple, form)
+
+    def test_generic_log_only(self):
+        log_only = [(t, form) for t in SMALL_TRIPLES for form in ("P", "Q") if (t, form) not in FULL_PAIRS]
+        assert len(log_only) == 47 and ((2, 2, 2), "P") in log_only
+        for t, form in log_only:
+            assert_log_only(t, form)
+
+    def test_p_020_has_no_full_form(self):
+        assert_log_only((0, 2, 0), "P")
+        assert math.isfinite(coeff_asymptotic((0, 2, 0), "Q", 100).ln)
+
+
 class TestCoeffAsymptotic:
     def test_partition_estimate_at_100(self):
         est = coeff_asymptotic((0, 0, 1), "P", 100)
@@ -532,23 +572,6 @@ class TestCoeffAsymptotic:
             coeff_asymptotic((1, 0, 0), "P", 50)
         with pytest.raises(NoClosedFormError):
             coeff_asymptotic((0, 2, 0), "P", 50)
-
-    def test_closed_form_exactly_for_the_five_pairs(self):
-        full = {((0, 0, 1), "P"), ((0, 0, 1), "Q"), ((0, 1, 0), "P"), ((0, 1, 0), "Q"), ((0, 2, 0), "Q")}
-        pairs = [(t, form) for t in SMALL_TRIPLES for form in ("P", "Q")]
-        assert len(pairs) == 52 and full <= set(pairs)
-        for t, form in pairs:
-            if (t, form) in full:
-                assert math.isfinite(coeff_asymptotic(t, form, 100).ln)
-                with pytest.raises(ValueError, match="index out of range") as info:  # the closed forms need n >= 2
-                    coeff_asymptotic(t, form, 1.5)
-                assert not isinstance(info.value, NoClosedFormError)
-                continue
-            # the pair is checked before the index is read, so an index below 2,
-            # or one that is not valid at all, gives this error too
-            for n in (100, 1.5, 0):
-                with pytest.raises(NoClosedFormError, match=re.escape(f"triple {AdmissibleTriple(*t)}, form {form}")):
-                    coeff_asymptotic(t, form, n)
 
     def test_estimate_view(self):
         est = coeff_asymptotic((0, 0, 1), "P", 100)
