@@ -11,6 +11,7 @@ import argparse
 import math
 import re
 import sys
+from contextlib import redirect_stdout
 from math import lgamma, log
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -350,7 +351,8 @@ def run(argv: list[str], out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with redirect_stdout(out):  # --help text goes to out; usage errors stay on stderr
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     if args.verb is None:

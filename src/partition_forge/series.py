@@ -77,6 +77,7 @@ _DECIMAL_TOKEN = re.compile(r"[+-]?[0-9]+")
 
 _NAIVE_LAGS = 128  # OGF lags below it run as sums: 64..128 tied on (0,0,1) P at N = 2000, 128..192 on all j = 0 pairs
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])  # integer arithmetic in Decimal, of any length
+_INT_DIGITS = 512  # digit strings this short parse with int(): under the lowest int/str digit limit allowed (640)
 _EXP_BLOCK = 32  # j-block size of the exponential recurrence: tied with 64 at N <= 1600, with narrower q
 
 
@@ -196,15 +197,16 @@ def _pack(xs: list[int], digits: int) -> Decimal:
 
 
 def _add_block_product(f: list[int], w: list[int], acc: list[int], start: int) -> None:
-    """acc[start + i] += sum_{p+q=i} f[p] * w[q] for f >= 0; w goes in split by sign."""
+    """acc[start + i] += sum_{p+q=i} f[p] * w[q] for f >= 0; w goes in split by sign, the product back by slots."""
     digits = len(to_decimal(max(f))) + len(to_decimal(max(map(abs, w)))) + len(str(len(f)))
     packed_f = _pack(f, digits)
     span = len(f) + len(w) - 1
     powers = {}
-    for op, part in ((add, [max(x, 0) for x in w]), (sub, [max(-x, 0) for x in w])):
+    for op, part in ((add, [x if x > 0 else 0 for x in w]), (sub, [-x if x < 0 else 0 for x in w])):
         if any(part):
             text = str(_EXACT.multiply(packed_f, _pack(part, digits))).zfill(span * digits)
-            coeffs = [_from_digits(text[i : i + digits], powers) for i in range(0, span * digits, digits)]
+            slots = [text[i : i + digits] for i in range(0, span * digits, digits)]
+            coeffs = map(int, slots) if digits <= _INT_DIGITS else [_from_digits(s, powers) for s in slots]
             acc[start : start + span] = map(op, acc[start : start + span], coeffs)
 
 
@@ -253,7 +255,7 @@ def _to_decimal_exact(n: int) -> Decimal:
 
 def _from_digits(digits: str, powers: dict) -> int:
     """The int of a string of decimal digits: halves of the string, joined by cached powers of 10."""
-    if len(digits) <= 512:  # under the lowest digit limit the interpreter allows (640)
+    if len(digits) <= _INT_DIGITS:
         return int(digits)
     low = len(digits) >> 1
     power = powers.get(low) or powers.setdefault(low, 10 ** low)
@@ -262,13 +264,12 @@ def _from_digits(digits: str, powers: dict) -> int:
 
 def to_decimal(value) -> str:
     """Decimal text of an int, or 'num/den' of a non-integral Fraction, at any size."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return to_decimal(value.numerator)
-        return f"{to_decimal(value.numerator)}/{to_decimal(value.denominator)}"
     try:
-        return str(value)
+        return str(value)  # a Fraction's str is 'num/den', or num alone when den = 1
     except ValueError:  # past the int/str digit limit
+        if isinstance(value, Fraction):
+            text = to_decimal(value.numerator)
+            return text if value.denominator == 1 else f"{text}/{to_decimal(value.denominator)}"
         return str(_to_decimal_exact(value))
 
 

@@ -226,9 +226,13 @@ class TestUsageErrors:
         status, _ = run_cli(["coeffs", "--triple", "0,0,1", "--form", "R", "--n", "4"])
         assert status == EXIT_USAGE
 
-    def test_help_is_success(self):
-        status, _ = run_cli(["--help"])
-        assert status == EXIT_OK
+    def test_help_is_success(self, capsys):
+        # the help text goes to the caller's out, not to the process's stdout
+        for argv in (["--help"], ["coeffs", "--help"]):
+            status, text = run_cli(argv)
+            assert status == EXIT_OK, argv
+            assert text.startswith("usage: partition-forge"), argv
+            assert capsys.readouterr() == ("", ""), argv
 
 
 # one valid argv tail per verb; the key set must be the parser's verb set

@@ -302,6 +302,28 @@ class TestOgfBlockKernel:
             assert acc[3 + i] == before[3 + i] + schoolbook, i
         assert acc[:3] == before[:3] and acc[3 + span :] == before[3 + span :]
 
+    @pytest.mark.parametrize("digits", [512, 513])
+    def test_block_product_at_the_slot_parse_boundary(self, digits):
+        # slots of at most 512 digits parse with int(), wider ones by halves; both sides under the lowest digit limit
+        rng = random.Random(digits)
+        f = [rng.randrange(10 ** 254, 10 ** 255) for _ in range(6)]
+        k = digits - 255 - 1  # digits of max |w|, beside 255 of max f and 1 of len(f)
+        w = [sign * rng.randrange(10 ** (k - 1), 10 ** k) for sign in (1, -1, 1, 1, -1, -1, 1)]
+        assert len(str(max(f))) + len(str(max(map(abs, w)))) + len(str(len(f))) == digits
+        before = [rng.randrange(-(10 ** 9), 10 ** 9) for _ in range(len(f) + len(w) + 5)]
+        acc = list(before)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            series._add_block_product(f, w, acc, 3)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        span = len(f) + len(w) - 1
+        for i in range(span):
+            schoolbook = sum(f[p] * w[i - p] for p in range(max(0, i - len(w) + 1), min(i, len(f) - 1) + 1))
+            assert acc[3 + i] == before[3 + i] + schoolbook, i
+        assert acc[:3] == before[:3] and acc[3 + span :] == before[3 + span :]
+
     @pytest.mark.parametrize("triple, form", [((0, 0, 1), "P"), ((1, 0, 0), "Q"), ((2, 0, 2), "P")])
     def test_matches_dot_product_past_2000(self, triple, form):
         b = series._NAIVE_LAGS
@@ -396,7 +418,21 @@ class TestSerialization:
         assert to_decimal(Fraction(BIG, 3)).endswith("/3")
         assert to_decimal(Fraction(-6, 3)) == "-2"
         assert to_decimal(Fraction(1, 2)) == str(Fraction(1, 2))
+        assert to_decimal(Fraction(BIG)) == to_decimal(BIG)
+        assert to_decimal(Fraction(-BIG, 3)) == to_decimal(-BIG) + "/3"
+        assert to_decimal(Fraction(-3, 4)) == "-3/4"
         assert from_decimal("+12") == 12
+
+    def test_decimal_of_a_small_value_asks_no_type(self, monkeypatch):
+        # ints and Fractions within the digit limit render through str() alone, before any isinstance check
+        class Unasked(type):
+            def __instancecheck__(cls, obj):
+                raise AssertionError("to_decimal asked for a type")
+
+        monkeypatch.setattr(series, "Fraction", Unasked("Fraction", (), {}))
+        assert to_decimal(-12345) == "-12345"
+        assert to_decimal(Fraction(-3, 4)) == "-3/4"
+        assert to_decimal(Fraction(6, 3)) == "2"
 
     @pytest.mark.parametrize("digits", [4301, 10**4 + 1, 65537, 10**5])
     def test_decimal_round_trip_of_random_digits(self, digits):
