@@ -30,11 +30,13 @@ W(L) = L * [z^L] log F(z):
   where for j = 0 W(k) equals sum_{d|k} d*psi(d) for P and the
   sign-alternating analogue for Q.  W is known in advance, so the sum
   runs semi-relaxed (van der Hoeven, "Relax, but don't be too lazy",
-  J. Symbolic Comput. 34, 2002): the lags below 128 as one dot product
-  per target, and for each b = 128 * 2^r the block product
-  F[a : a+b) * W[b : 2b), a a multiple of b, once F[a : a+b) is known,
-  by Kronecker substitution (Harvey, J. Symbolic Comput. 44, 2009) in
-  base 10: each factor is packed as one Decimal in fixed-width digit
+  J. Symbolic Comput. 34, 2002): for four targets n0..n0+3 at a time,
+  lags 4..255 as one dot product of W with windows of F packed in
+  S-bit slots, H_a = sum_{s<4} F_{a+s} 2^(s*S), slot s holding target
+  n0+s, and lags 1..3 term by term; for each b = 256 * 2^r the block
+  product F[a : a+b) * W[b : 2b), a a multiple of b, once F[a : a+b) is
+  known, by Kronecker substitution (Harvey, J. Symbolic Comput. 44, 2009)
+  in base 10: each factor is packed as one Decimal in fixed-width digit
   slots, and decimal's number-theoretic multiply (libmpdec), faster
   than the interpreter's Karatsuba at these sizes, forms the product.
   The division by n is exact; an ArithmeticError reports it if it ever
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections import deque
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
@@ -75,7 +78,8 @@ KIND_OGF = "ogf"
 
 _DECIMAL_TOKEN = re.compile(r"[+-]?[0-9]+")
 
-_NAIVE_LAGS = 128  # OGF lags below it run as sums: 64..128 tied on (0,0,1) P at N = 2000, 128..192 on all j = 0 pairs
+_NAIVE_LAGS = 256  # OGF lags below it run as sums: 256..384 tied at N = 2000 and 10^4, 128..192 slower
+_PACK = 4  # OGF targets whose lags _PACK.._NAIVE_LAGS-1 share one dot product over packed F: 4 and 8 tied
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])  # integer arithmetic in Decimal, of any length
 _INT_DIGITS = 512  # digit strings this short parse with int(): under the lowest int/str digit limit allowed (640)
 _EXP_BLOCK = 32  # j-block size of the exponential recurrence: tied with 64 at N <= 1600, with narrower q
@@ -201,12 +205,12 @@ def _add_block_product(f: list[int], w: list[int], acc: list[int], start: int) -
     digits = len(to_decimal(max(f))) + len(to_decimal(max(map(abs, w)))) + len(str(len(f)))
     packed_f = _pack(f, digits)
     span = len(f) + len(w) - 1
-    powers = {}
+    powers, limit = {}, getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (none before 3.10.7)
     for op, part in ((add, [x if x > 0 else 0 for x in w]), (sub, [-x if x < 0 else 0 for x in w])):
         if any(part):
             text = str(_EXACT.multiply(packed_f, _pack(part, digits))).zfill(span * digits)
             slots = [text[i : i + digits] for i in range(0, span * digits, digits)]
-            coeffs = map(int, slots) if digits <= _INT_DIGITS else [_from_digits(s, powers) for s in slots]
+            coeffs = map(int, slots) if not limit or digits <= limit else [_from_digits(s, powers) for s in slots]
             acc[start : start + span] = map(op, acc[start : start + span], coeffs)
 
 
@@ -219,22 +223,40 @@ def ogf_coeffs_euler(t, form: str, upto: int) -> CoeffSequence:
     if upto < 0:
         raise ValueError("upto must be >= 0")
     c = cycle_weight_table(t, form, max(upto, 1))
-    short = c[1:_NAIVE_LAGS]
-    recent = deque([1], maxlen=_NAIVE_LAGS - 1)  # F_{n-1}, F_{n-2}, ..., newest first
+    k = min(_PACK, _NAIVE_LAGS - 1)  # targets per group; at least one lag is packed
+    near, far = c[1:k], c[k:_NAIVE_LAGS]  # lags 1..k-1 term by term, k.._NAIVE_LAGS-1 packed
+    far_bits = max(map(int.bit_length, far), default=0) + len(far).bit_length() + 1  # + a sign bit
+    recent = deque([1], maxlen=k - 1)  # F_{n-1}, ..., F_{n-k+1}, newest first
     values = [1] + [0] * upto
-    acc = [0] * (2 * upto + 1)  # sums over the lags k >= _NAIVE_LAGS; block targets run past upto
-    for n in range(1, upto + 1):
-        q, r = divmod(acc[n] + sum(map(mul, short, recent)), n)
-        if r:
-            raise ArithmeticError(f"inexact division at n={n} for triple {t}, form {form}")
-        values[n] = q
-        recent.appendleft(q)
-        # F[n+1-b : n+1] is complete; of each factor only m terms reach a target <= upto
-        b = _NAIVE_LAGS
-        while (n + 1) % b == 0 and n < upto:
-            m = min(b, upto - n)
-            _add_block_product(values[n + 1 - b : n + 1 - b + m], c[b : b + m], acc, n + 1)
-            b *= 2
+    acc = [0] * (2 * upto + 1)  # sums over the lags >= _NAIVE_LAGS; block targets run past upto
+    width = f_bits = 0
+
+    def window(a):  # H_a = sum_{s<k} F_{a+s} 2^(s*width), F_i = 0 for i < 0: H_a = 0 for a <= -k
+        return sum(values[i] << (i - a) * width for i in range(max(a, 0), a + k))
+
+    for n0 in range(1, upto + 1, k):
+        f_bits = max(f_bits, *map(int.bit_length, values[max(n0 - k, 0) : n0]))
+        if f_bits + far_bits > width:  # F outgrew its slots: widen them, repack every window
+            width = f_bits + far_bits + max(64, (f_bits + far_bits) >> 2)  # margins 32 or 64, or doubling: slower
+            half, mask, top = 1 << width - 1, (1 << width) - 1, (k - 1) * width
+            bias = sum(half << s * width for s in range(k))  # half in every slot, so signed sums read back
+            windows = deque(map(window, range(n0 - k, max(n0 - k - len(far), -k), -1)), maxlen=len(far))
+        else:
+            for f in values[n0 - k : n0]:  # H_{a+1} from H_a: drop F_a (|F_a| < half), add F_{a+k}
+                windows.appendleft((windows[0] + half >> width) + (f << top))
+        packed = sum(map(mul, far, windows), bias)  # slot s: lags k.._NAIVE_LAGS-1 of target n0+s
+        for n in range(n0, min(n0 + k, upto + 1)):
+            q, r = divmod(acc[n] + (packed >> (n - n0) * width & mask) - half + sum(map(mul, near, recent)), n)
+            if r:
+                raise ArithmeticError(f"inexact division at n={n} for triple {t}, form {form}")
+            values[n] = q
+            recent.appendleft(q)
+            # F[n+1-b : n+1] is complete; of each factor only m terms reach a target <= upto
+            b = _NAIVE_LAGS
+            while (n + 1) % b == 0 and n < upto:
+                m = min(b, upto - n)
+                _add_block_product(values[n + 1 - b : n + 1 - b + m], c[b : b + m], acc, n + 1)
+                b *= 2
     return CoeffSequence(t, form, KIND_OGF, tuple(values))
 
 

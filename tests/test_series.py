@@ -189,7 +189,9 @@ class TestOgfCoeffs:
         with pytest.raises(ArithmeticError, match="inexact division at n=2"):
             ogf_coeffs_euler((0, 0, 1), "P", 3)
 
-    @pytest.mark.parametrize("lag, short_lags", [(97, 32), (1100, 512), (1100, 1024), (1100, series._NAIVE_LAGS)])
+    @pytest.mark.parametrize(
+        "lag, short_lags", [(97, 32), (1100, 512), (1100, 1024), (1100, 128), (1100, series._NAIVE_LAGS)]
+    )
     def test_inexact_division_raises_inside_a_block_product(self, monkeypatch, lag, short_lags):
         # W(lag) reaches target `lag` only through the product F[0:b) x W[b:2b)
         # with b <= lag < 2b; one more unit there gives lag * F_lag = (its true value) + 1
@@ -204,15 +206,19 @@ class TestOgfCoeffs:
             ogf_coeffs_euler((0, 0, 1), "P", lag + 50)
 
     def test_inexact_division_raises_at_a_packed_lag(self, monkeypatch):
-        # lag 5 < _NAIVE_LAGS is summed in the short-lag dot product, not in a block product
-        def corrupted(t, form, limit):
-            table = cycle_weight_table(t, form, limit)
-            table[5] += 1
-            return table
+        # lag 5, in _PACK.._NAIVE_LAGS-1, is summed in a dot product over packed windows of F, and
+        # lag 3 < _PACK term by term; neither in a block product
+        assert 3 < series._PACK <= 5 < series._NAIVE_LAGS
+        for lag in (5, 3):
 
-        monkeypatch.setattr(series, "cycle_weight_table", corrupted)
-        with pytest.raises(ArithmeticError, match="inexact division at n=5 "):
-            ogf_coeffs_euler((0, 0, 1), "Q", 20)
+            def corrupted(t, form, limit, lag=lag):
+                table = cycle_weight_table(t, form, limit)
+                table[lag] += 1
+                return table
+
+            monkeypatch.setattr(series, "cycle_weight_table", corrupted)
+            with pytest.raises(ArithmeticError, match=f"inexact division at n={lag} "):
+                ogf_coeffs_euler((0, 0, 1), "Q", 20)
 
 
 @lru_cache(maxsize=None)
@@ -256,6 +262,20 @@ class TestOgfBlockKernel:
                 upto = edge - 1 + width
                 assert ogf_coeffs_euler(triple, form, upto).values == reference[: upto + 1], (short_lags, upto)
                 edge *= 2
+
+    @pytest.mark.parametrize("triple, form", ORDINARY_PAIRS)
+    def test_matches_dot_product_at_other_group_sizes(self, monkeypatch, triple, form):
+        # _PACK targets share one packed dot product; runs end at group edges (multiples of _PACK, +-1)
+        # and at block edges, and _PACK >= _NAIVE_LAGS packs only the lag _NAIVE_LAGS - 1
+        reference = dot_product_ogf(triple, form, 300)
+        for pack in (1, 2, 3, 5):
+            monkeypatch.setattr(series, "_PACK", pack)
+            for short_lags in (2, 3, 4, 5, 32):
+                monkeypatch.setattr(series, "_NAIVE_LAGS", short_lags)
+                edges = (pack, 2 * pack, 7 * pack, short_lags, 4 * short_lags)
+                for upto in sorted({0, 1, 2, 300, *(e + d for e in edges for d in (-1, 0, 1))}):
+                    values = ogf_coeffs_euler(triple, form, upto).values
+                    assert values == reference[: upto + 1], (pack, short_lags, upto)
 
     @pytest.mark.parametrize("ratio", [1, 2, 3, 4])
     def test_negative_slot_sums(self, monkeypatch, ratio):
@@ -304,7 +324,7 @@ class TestOgfBlockKernel:
 
     @pytest.mark.parametrize("digits", [512, 513])
     def test_block_product_at_the_slot_parse_boundary(self, digits):
-        # slots of at most 512 digits parse with int(), wider ones by halves; both sides under the lowest digit limit
+        # slots of 512 and 513 digits, signed w, under the lowest digit limit (640): both parse with int()
         rng = random.Random(digits)
         f = [rng.randrange(10 ** 254, 10 ** 255) for _ in range(6)]
         k = digits - 255 - 1  # digits of max |w|, beside 255 of max f and 1 of len(f)
@@ -314,6 +334,30 @@ class TestOgfBlockKernel:
         acc = list(before)
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
+        try:
+            series._add_block_product(f, w, acc, 3)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        span = len(f) + len(w) - 1
+        for i in range(span):
+            schoolbook = sum(f[p] * w[i - p] for p in range(max(0, i - len(w) + 1), min(i, len(f) - 1) + 1))
+            assert acc[3 + i] == before[3 + i] + schoolbook, i
+        assert acc[:3] == before[:3] and acc[3 + span :] == before[3 + span :]
+
+    def test_block_product_parses_wide_slots_whole_under_the_default_limit(self, monkeypatch):
+        # slots of 1500 digits are under the default int/str digit limit (4300), so int() parses them whole
+        def refuse(digits, powers):
+            raise AssertionError("a slot under the live digit limit went through _from_digits")
+
+        monkeypatch.setattr(series, "_from_digits", refuse)
+        rng = random.Random(1500)
+        f = [rng.randrange(10 ** 749, 10 ** 750) for _ in range(5)]
+        w = [sign * rng.randrange(10 ** 748, 10 ** 749) for sign in (1, -1, -1, 1, 1, -1)]
+        assert len(str(max(f))) + len(str(max(map(abs, w)))) + len(str(len(f))) == 1500
+        before = [rng.randrange(-(10 ** 9), 10 ** 9) for _ in range(len(f) + len(w) + 5)]
+        acc = list(before)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
         try:
             series._add_block_product(f, w, acc, 3)
         finally:
