@@ -8,19 +8,24 @@ W(L) = L * [z^L] log F(z):
 
       p_m = sum_{j=0..m-1} W(m-j) * p_j * (j+1)(j+2)...(m-1),   p_0 = 1.
 
-  The indices j run in blocks [lo, lo+r) of r = 32.  Once a block is
-  known, each p_j in it is stored scaled to the block's end e as
-  q_j = p_j * (j+1)...(e-1), a few hundred bits above p_j.  For each m,
-  every complete block adds one dot product sum W(m-j) * q_j, the blocks
-  chain by Horner's rule through their rising factors lo(lo+1)...(e-1),
-  and the partial block below m runs Horner's rule in j itself,
-  acc = acc*j + W(m-j)*p_j.  A term of a complete block then costs one
-  big-by-small multiply and one add, inside a C-level sum, where a
-  Horner step costs three big-integer operations.  The v-weighted
-  family with v = a/b runs through the same loop: the scaled weights
+  The targets are solved by halves (van der Hoeven, "Relax, but don't be
+  too lazy", J. Symbolic Comput. 34, 2002).  While a range [lo, hi) is
+  open, each p[m] in it holds the Horner accumulator of the indices
+  j < lo.  The range splits at mid; once [lo, mid) is solved, its values
+  are scaled once to the split point, q_j = p_j * (j+1)...(mid-1), and
+  every target m in [mid, hi) takes
+  p[m] <- p[m] * lo(lo+1)...(mid-1) + sum_{lo<=j<mid} W(m-j) * q_j,
+  the chain factor lo(lo+1)...(mid-1) carrying the indices below lo
+  across the split.  The sums are a Toeplitz matrix of small weights
+  times the big q_j, a middle product, and Karatsuba's split forms it
+  from three half-size middle products in place of four (Hanrot, Quercia
+  & Zimmermann, AAECC 14, 2004); when [mid, hi) is one target longer,
+  that target is summed directly.  Ranges of at most 32 targets run
+  Horner's rule in j, acc = acc*j + W(m-j)*p_j.  The v-weighted family
+  with v = a/b runs through the same code: the scaled weights
   T(k) = b^(k+1) W_v(k) are integers, and the scaled numerators
   P_m = b^(2m) p_m obey P_m = sum_j T(m-j) P_j prod_{i=j+1..m-1} (i*b),
-  the same recurrence with Horner factors j*b in place of j; each P_m is
+  the same recurrence with factors i*b in place of i; each P_m is
   reduced to a Fraction once, at the end;
 
 * the log-derivative recurrence for the ordinary (j = 0) coefficients:
@@ -82,7 +87,8 @@ _NAIVE_LAGS = 256  # OGF lags below it run as sums: 256..384 tied at N = 2000 an
 _PACK = 4  # OGF targets whose lags _PACK.._NAIVE_LAGS-1 share one dot product over packed F: 4 and 8 tied
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])  # integer arithmetic in Decimal, of any length
 _INT_DIGITS = 512  # digit strings this short parse with int(): under the lowest int/str digit limit allowed (640)
-_EXP_BLOCK = 32  # j-block size of the exponential recurrence: tied with 64 at N <= 1600, with narrower q
+_EXP_LEAF = 32  # exponential target ranges this short run Horner's rule in j: 16..64 tied
+_MIDDLE_LEAF = 16  # middle products this small run as direct sums: 8 and 24..32 slower
 
 
 class CoeffSequence:
@@ -133,27 +139,55 @@ class CoeffSequence:
         return self.values[n]
 
 
+def _middle(w: list[int], x: list[int]) -> list[int]:
+    """y[a] = sum_b w[a-b+n-1] * x[b] for a, b < n = len(x), len(w) = 2n-1: a Toeplitz middle product, by Karatsuba."""
+    n = len(x)
+    if n <= _MIDDLE_LEAF:
+        xr = x[::-1]
+        return [sum(map(mul, w[a : a + n], xr)) for a in range(n)]
+    if n & 1:  # peel the last column and the last row
+        y = list(map(add, _middle(w[1:-1], x[:-1]), map(mul, w, repeat(x[-1], n - 1))))
+        y.append(sum(map(mul, w[n - 1 :], reversed(x))))
+        return y
+    k = n >> 1
+    w0 = w[k : 3 * k - 1]  # the diagonal blocks' window
+    both = _middle(w0, list(map(add, x[:k], x[k:])))
+    top = _middle(list(map(sub, w[: 2 * k - 1], w0)), x[k:])
+    bottom = _middle(list(map(sub, w[2 * k :], w0)), x[:k])
+    return [*map(add, both, top), *map(add, both, bottom)]
+
+
+def _exp_solve(weights: list[int], p: list[int], lo: int, hi: int, scale: int) -> None:
+    """Complete p[lo:hi], where each p[m] holds sum_{j<lo} W(m-j) p_j prod_{i=j+1..lo-1} (i*scale), so p[lo] is done."""
+    if hi - lo <= _EXP_LEAF:  # Horner's rule in j
+        for m in range(lo + 1, hi):
+            acc = p[m]
+            for js, w, pj in zip(range(lo * scale, m * scale, scale), weights[m - lo : 0 : -1], p[lo:m]):
+                acc = acc * js + w * pj
+            p[m] = acc
+        return
+    mid = (lo + hi) >> 1
+    _exp_solve(weights, p, lo, mid, scale)
+    q, tail = [], 1  # q_j = p_j prod_{i=j+1..mid-1} (i*scale); tail ends as the chain factor prod_{i=lo..mid-1}
+    for pj, js in zip(reversed(p[lo:mid]), range((mid - 1) * scale, (lo - 1) * scale, -scale)):
+        q.append(pj * tail)
+        tail *= js
+    q.reverse()
+    s = mid - lo
+    sums = _middle(weights[1 : 2 * s], q)  # targets mid..mid+s-1, lags 1..2s-1
+    if hi - mid > s:  # the odd target hi-1
+        sums.append(sum(map(mul, weights[2 * s : s : -1], q)))
+    for m, y in zip(range(mid, hi), sums):
+        a = p[m]
+        p[m] = a * tail + y if a else y  # a = 0 at lo = 0, where tail = 0
+    del q, sums  # not held through the right half
+    _exp_solve(weights, p, mid, hi, scale)
+
+
 def _exp_numerators(weights: list[int], upto: int, scale: int = 1) -> list[int]:
-    """p_0..p_upto of the exponential recurrence with Horner factors j*scale: block dot products, then Horner's rule in j."""
-    r = _EXP_BLOCK
+    """p_0..p_upto of the exponential recurrence with Horner factors j*scale."""
     p = [1] + [0] * upto
-    q = []  # q_j = p_j prod_{i=j+1..e-1} (i*scale), e the end of j's block, for every complete block
-    rising = []  # prod_{i=lo..lo+r-1} (i*scale) for the block [lo, lo+r)
-    for m in range(1, upto + 1):
-        acc = 0
-        for lo, step in zip(range(0, len(q), r), rising):
-            acc = acc * step + sum(map(mul, weights[m - lo : m - lo - r : -1], q[lo : lo + r]))
-        done = len(q)
-        for js, w, pj in zip(range(done * scale, m * scale, scale), weights[m - done : 0 : -1], p[done:m]):
-            acc = acc * js + w * pj
-        p[m] = acc
-        if (m + 1) % r == 0:  # the block [m+1-r, m+1) is complete
-            tail, block = 1, []
-            for pj, js in zip(reversed(p[m + 1 - r : m + 1]), range(m * scale, (m - r) * scale, -scale)):
-                block.append(pj * tail)
-                tail *= js
-            q += reversed(block)
-            rising.append(tail)
+    _exp_solve(weights, p, 0, upto + 1, scale)
     return p
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import sys
@@ -391,28 +392,34 @@ EXP_PAIRS = [(t, form) for t in SMALL_TRIPLES for form in "PQ"]
 SHORT_BLOCK_UPTOS = (0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 300)
 
 
+def small_exp_leaves(monkeypatch):
+    """Horner leaves of 4 targets and direct middle products of 2, so that short runs cross many
+    splits, odd halves (the extra target row) and odd middle products (the peeled row and column)."""
+    monkeypatch.setattr(series, "_EXP_LEAF", 4)
+    monkeypatch.setattr(series, "_MIDDLE_LEAF", 2)
+
+
 class TestExpBlockKernel:
-    """The block kernel against the plain Horner loop."""
+    """The split kernel against the plain Horner loop."""
 
     @pytest.mark.parametrize("triple, form", EXP_PAIRS)
     def test_matches_horner_across_block_edges(self, monkeypatch, triple, form):
-        # blocks of 8, so that short runs cross many block edges
-        monkeypatch.setattr(series, "_EXP_BLOCK", 8)
+        small_exp_leaves(monkeypatch)
         reference = horner_exp_numerators(cycle_weight_table(triple, form, 300), 300)
         for upto in SHORT_BLOCK_UPTOS:
             assert list(egf_coeffs(triple, form, upto).values) == reference[: upto + 1], upto
 
     @pytest.mark.parametrize("triple, form", [((0, 1, 0), "P"), ((2, 2, 2), "Q"), ((1, 0, 1), "P")])
     def test_matches_horner_at_the_real_block_size(self, triple, form):
-        r = series._EXP_BLOCK
+        r = series._EXP_LEAF
         reference = horner_exp_numerators(cycle_weight_table(triple, form, 800), 800)
-        for upto in (2 * r - 1, 2 * r, 2 * r + 1, 800):
+        for upto in (r - 1, r, r + 1, 2 * r - 1, 2 * r, 2 * r + 1, 800):
             assert list(egf_coeffs(triple, form, upto).values) == reference[: upto + 1], upto
 
     @pytest.mark.parametrize("v", ["1/3", "-2/3", "3/4", "5/6", "-7/10", "9/4", "2", "-3", "0"])
     @pytest.mark.parametrize("triple", [(0, 1, 0), (1, 2, 1)])
     def test_weighted_matches_horner_across_block_edges(self, monkeypatch, triple, v):
-        monkeypatch.setattr(series, "_EXP_BLOCK", 8)
+        small_exp_leaves(monkeypatch)
         v = Fraction(v)
         scale = [v.denominator ** (2 * k) for k in range(301)]
         weights = [w * s for w, s in zip(weighted_weights(triple, v, 300), scale)]
@@ -421,6 +428,27 @@ class TestExpBlockKernel:
         reference = [Fraction(x, scale[m]) for m, x in enumerate(numerators)]
         for upto in SHORT_BLOCK_UPTOS:
             assert list(egf_coeffs_weighted(triple, v, upto).values) == reference[: upto + 1], upto
+
+    @pytest.mark.parametrize("leaf", [1, 2, series._MIDDLE_LEAF])
+    def test_middle_product_matches_direct_toeplitz_sums(self, monkeypatch, leaf):
+        # every n to 70 crosses even and odd splits, and at the real leaf the sizes around it and its doubles
+        monkeypatch.setattr(series, "_MIDDLE_LEAF", leaf)
+        rng = random.Random(leaf)
+        for n in range(1, 71):
+            w = [rng.randint(-10 ** 12, 10 ** 12) for _ in range(2 * n - 1)]
+            x = [rng.randint(-(2 ** 3000), 2 ** 3000) for _ in range(n)]
+            expected = [sum(w[a - b + n - 1] * x[b] for b in range(n)) for a in range(n)]
+            assert series._middle(w, x) == expected, n
+
+    def test_leaves_no_cyclic_garbage(self):
+        # a kernel whose recursion referred to itself through a closure would keep p alive until a collection
+        gc.collect()
+        gc.disable()
+        try:
+            egf_coeffs((0, 1, 0), "P", 200)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSerialization:
