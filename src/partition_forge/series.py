@@ -8,6 +8,7 @@ W(L) = L * [z^L] log F(z):
 
       p_m = sum_{j=0..m-1} W(m-j) * p_j * (j+1)(j+2)...(m-1),   p_0 = 1.
 
+  (A j = 0 pair skips it: its F_n are integers, and p_n = n! * F_n.)
   The targets are solved by halves (van der Hoeven, "Relax, but don't be
   too lazy", J. Symbolic Comput. 34, 2002).  While a range [lo, hi) is
   open, each p[m] in it holds the Horner accumulator of the indices
@@ -34,23 +35,24 @@ W(L) = L * [z^L] log F(z):
 
   where for j = 0 W(k) equals sum_{d|k} d*psi(d) for P and the
   sign-alternating analogue for Q.  W is known in advance, so the sum
-  runs semi-relaxed (van der Hoeven, "Relax, but don't be too lazy",
-  J. Symbolic Comput. 34, 2002): for four targets n0..n0+3 at a time,
-  lags 4..255 as one dot product of W with windows of F packed in
-  S-bit slots, H_a = sum_{s<4} F_{a+s} 2^(s*S), slot s holding target
-  n0+s, and lags 1..3 term by term; for each b = 256 * 2^r the block
-  product F[a : a+b) * W[b : 2b), a a multiple of b, once F[a : a+b) is
-  known, by Kronecker substitution (Harvey, J. Symbolic Comput. 44, 2009)
-  in base 10: each factor is packed as one Decimal in fixed-width digit
-  slots, and decimal's number-theoretic multiply (libmpdec), faster
-  than the interpreter's Karatsuba at these sizes, forms the product.
-  The division by n is exact; an ArithmeticError reports it if it ever
-  is not.
+  runs semi-relaxed (van der Hoeven, as above): for four targets
+  n0..n0+3 at a time, lags 4..255 as one dot product of W with windows
+  of F packed in S-bit slots, H_a = sum_{s<4} F_{a+s} 2^(s*S), slot s
+  holding target n0+s, and lags 1..3 term by term; for each
+  b = 256 * 2^r the block product F[a : a+b) * W[b : 2b), a a multiple
+  of b, once F[a : a+b) is known, by Kronecker substitution (Harvey,
+  J. Symbolic Comput. 44, 2009) in base 10: each factor is packed as one
+  Decimal in fixed-width digit slots, and decimal's number-theoretic
+  multiply (libmpdec), faster than the interpreter's Karatsuba at these
+  sizes, forms the product.  The division by n is exact; an
+  ArithmeticError reports it if it ever is not.
 
 Values of any size render through ``to_decimal`` and parse through
-``from_decimal``; both step past the interpreter's int/str digit limit
-by splitting the value or the text in halves (as CPython 3.12's
-``_pylong`` does), without changing that limit.
+``from_decimal``: long ones split in decimal halves at 10^k, k a power
+of two (Brent & Zimmermann, Modern Computer Arithmetic, 1.7), down to
+pieces of at most 512 digits, which str() and int() convert under any
+int/str digit limit without changing it; above 2^16 bits, binary halves
+are joined in Decimal (as CPython 3.12's ``_pylong`` does).
 """
 
 from __future__ import annotations
@@ -87,6 +89,9 @@ _NAIVE_LAGS = 256  # OGF lags below it run as sums: 256..384 tied at N = 2000 an
 _PACK = 4  # OGF targets whose lags _PACK.._NAIVE_LAGS-1 share one dot product over packed F: 4 and 8 tied
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])  # integer arithmetic in Decimal, of any length
 _INT_DIGITS = 512  # digit strings this short parse with int(): under the lowest int/str digit limit allowed (640)
+_STR_BITS = 1700  # ints this short (< 10^512) render with str(); longer ones by decimal halves: 1700..3000 tied
+_DECIMAL_BITS = 1 << 16  # ints longer than this join binary halves in Decimal: libmpdec beats CPython's division there
+_POW10 = {}  # k -> 10^k, k a power of two: the split points of to_decimal and _from_digits
 _EXP_LEAF = 32  # exponential target ranges this short run Horner's rule in j: 16..64 tied
 _MIDDLE_LEAF = 16  # middle products this small run as direct sums: 8 and 24..32 slower
 
@@ -197,6 +202,9 @@ def egf_coeffs(t, form: str, upto: int) -> CoeffSequence:
     check_form(form)
     if upto < 0:
         raise ValueError("upto must be >= 0")
+    if t.j == 0:  # F_n is an integer: p_n = n! F_n, from the ordinary kernel
+        factorials = accumulate(range(1, upto + 1), mul, initial=1)
+        return CoeffSequence(t, form, KIND_EGF, tuple(map(mul, factorials, ogf_coeffs_euler(t, form, upto))))
     weights = cycle_weight_table(t, form, max(upto, 1))
     return CoeffSequence(t, form, KIND_EGF, tuple(_exp_numerators(weights, upto)))
 
@@ -231,7 +239,8 @@ def egf_coeffs_weighted(t, v, upto: int) -> CoeffSequence:
 
 def _pack(xs: list[int], digits: int) -> Decimal:
     """The non-negative ints xs as one Decimal, xs[0] in its highest `digits`-digit slot (Kronecker substitution)."""
-    return Decimal("".join([to_decimal(x).zfill(digits) for x in xs]))
+    render = str if digits <= _INT_DIGITS else to_decimal  # no value in slots this narrow passes a digit limit
+    return Decimal("".join([render(x).zfill(digits) for x in xs]))
 
 
 def _add_block_product(f: list[int], w: list[int], acc: list[int], start: int) -> None:
@@ -239,12 +248,12 @@ def _add_block_product(f: list[int], w: list[int], acc: list[int], start: int) -
     digits = len(to_decimal(max(f))) + len(to_decimal(max(map(abs, w)))) + len(str(len(f)))
     packed_f = _pack(f, digits)
     span = len(f) + len(w) - 1
-    powers, limit = {}, getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (none before 3.10.7)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (none before 3.10.7)
     for op, part in ((add, [x if x > 0 else 0 for x in w]), (sub, [-x if x < 0 else 0 for x in w])):
         if any(part):
             text = str(_EXACT.multiply(packed_f, _pack(part, digits))).zfill(span * digits)
             slots = [text[i : i + digits] for i in range(0, span * digits, digits)]
-            coeffs = map(int, slots) if not limit or digits <= limit else [_from_digits(s, powers) for s in slots]
+            coeffs = map(int, slots) if not limit or digits <= limit else map(_from_digits, slots)
             acc[start : start + span] = map(op, acc[start : start + span], coeffs)
 
 
@@ -294,39 +303,52 @@ def ogf_coeffs_euler(t, form: str, upto: int) -> CoeffSequence:
     return CoeffSequence(t, form, KIND_OGF, tuple(values))
 
 
+def _split(digits: int) -> tuple[int, int]:
+    """k and 10^k, k the power of two nearest half of `digits`: the parts keep a third to two thirds of them."""
+    k = 1 << (2 * digits // 3).bit_length() - 1
+    return k, _POW10.get(k) or _POW10.setdefault(k, 10**k)
+
+
+def _digits(n: int, width: int = 0) -> str:
+    """The digits of n >= 0, zero-filled to `width`: decimal halves by divmod, binary ones in Decimal past 2^16 bits."""
+    if n.bit_length() <= _STR_BITS:
+        return str(n).zfill(width)
+    if n.bit_length() > _DECIMAL_BITS:
+        return str(_to_decimal_exact(n)).zfill(width)
+    k, power = _split(n.bit_length() * 3 // 10)  # about bits * log10(2) digits
+    high, low = divmod(n, power)
+    return _digits(high, width - k) + _digits(low, k)
+
+
 def _to_decimal_exact(n: int) -> Decimal:
-    """n as an exact Decimal: halves split in binary, joined by decimal's multiply (CPython 3.12 _pylong)."""
+    """n >= 0 as an exact Decimal: binary halves joined by decimal's multiply (CPython 3.12 _pylong)."""
     powers = {}
 
     def join(n, bits):  # 0 <= n < 2^bits
-        if bits <= 128:
-            return Decimal(n)
+        if bits <= _DECIMAL_BITS:
+            return Decimal(_digits(n))
         low = bits >> 1
         power = powers.get(low) or powers.setdefault(low, Decimal(2) ** low)
         return join(n >> low, bits - low) * power + join(n & (1 << low) - 1, low)
 
     with localcontext(_EXACT):
-        return join(n, n.bit_length()) if n >= 0 else -join(-n, n.bit_length())
+        return join(n, n.bit_length())
 
 
-def _from_digits(digits: str, powers: dict) -> int:
-    """The int of a string of decimal digits: halves of the string, joined by cached powers of 10."""
+def _from_digits(digits: str) -> int:
+    """The int of a string of decimal digits: halves of the string, joined by the powers of 10 that _split keeps."""
     if len(digits) <= _INT_DIGITS:
         return int(digits)
-    low = len(digits) >> 1
-    power = powers.get(low) or powers.setdefault(low, 10 ** low)
-    return _from_digits(digits[:-low], powers) * power + _from_digits(digits[-low:], powers)
+    k, power = _split(len(digits))
+    return _from_digits(digits[:-k]) * power + _from_digits(digits[-k:])
 
 
 def to_decimal(value) -> str:
     """Decimal text of an int, or 'num/den' of a non-integral Fraction, at any size."""
-    try:
-        return str(value)  # a Fraction's str is 'num/den', or num alone when den = 1
-    except ValueError:  # past the int/str digit limit
-        if isinstance(value, Fraction):
-            text = to_decimal(value.numerator)
-            return text if value.denominator == 1 else f"{text}/{to_decimal(value.denominator)}"
-        return str(_to_decimal_exact(value))
+    if type(value) is not int:  # a Fraction, part by part
+        text = to_decimal(value.numerator)
+        return text if value.denominator == 1 else f"{text}/{to_decimal(value.denominator)}"
+    return "-" + _digits(-value) if value < 0 else _digits(value)
 
 
 def from_decimal(token: str) -> int:
@@ -336,7 +358,7 @@ def from_decimal(token: str) -> int:
     try:
         return int(token)
     except ValueError:  # past the int/str digit limit
-        value = _from_digits(token.lstrip("+-"), {})
+        value = _from_digits(token.lstrip("+-"))
         return -value if token[0] == "-" else value
 
 

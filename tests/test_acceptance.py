@@ -31,8 +31,9 @@ from partition_forge.asympt import (
     residue_polynomial,
 )
 from partition_forge.cli import BFileRecord, compare_sequence, parse_bfile, run, truncate4
+from partition_forge.divisors import cycle_weight_table
 from partition_forge.oracle import cycle_type_sums
-from partition_forge.series import egf_coeffs, egf_coeffs_weighted, ogf_coeffs_euler, to_bfile
+from partition_forge.series import _exp_numerators, egf_coeffs, egf_coeffs_weighted, ogf_coeffs_euler, to_bfile
 
 SMALL_TRIPLES = [
     (i, j, k)
@@ -125,13 +126,13 @@ def test_criterion_04_exponential_ordinary_agreement():
     mismatches = []
     for triple in [(1, 0, 0), (2, 0, 0), (0, 0, 1), (0, 0, 2), (1, 0, 1)]:
         for form in ("P", "Q"):
-            e = egf_coeffs(triple, form, 200)
+            e = _exp_numerators(cycle_weight_table(triple, form, 200), 200)  # egf_coeffs would run the OGF kernel
             o = ogf_coeffs_euler(triple, form, 200)
             fact = 1
             for n in range(201):
                 if n:
                     fact *= n
-                if e.values[n] != fact * o.values[n]:
+                if e[n] != fact * o.values[n]:
                     mismatches.append((triple, form, n))
     elapsed = time.perf_counter() - t0
     ok = not mismatches and elapsed < 60.0

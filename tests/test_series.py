@@ -41,6 +41,11 @@ BIG = 7 ** 6000 + 12345
 MERSENNE_61 = 2 ** 61 - 1
 
 
+def exp_kernel(t, form, upto):
+    """p_0..p_upto from the exponential kernel, for any pair: egf_coeffs sends j = 0 pairs to the ordinary one."""
+    return series._exp_numerators(cycle_weight_table(t, form, max(upto, 1)), upto)
+
+
 def exp_series_rational(t, form, upto):
     """Independent route: F_m = (1/m) sum W(k) F_{m-k} in exact rationals,
     then scale by m! to get the numerators.  The weights are the oracle's,
@@ -175,7 +180,7 @@ class TestOgfCoeffs:
     @pytest.mark.parametrize("form", ["P", "Q"])
     def test_exponential_and_ordinary_routes_agree(self, triple, form):
         upto = 60
-        e = egf_coeffs(triple, form, upto).values
+        e = exp_kernel(triple, form, upto)
         o = ogf_coeffs_euler(triple, form, upto).values
         assert all(e[n] == factorial(n) * o[n] for n in range(upto + 1))
 
@@ -407,14 +412,19 @@ class TestExpBlockKernel:
         small_exp_leaves(monkeypatch)
         reference = horner_exp_numerators(cycle_weight_table(triple, form, 300), 300)
         for upto in SHORT_BLOCK_UPTOS:
-            assert list(egf_coeffs(triple, form, upto).values) == reference[: upto + 1], upto
+            assert exp_kernel(triple, form, upto) == reference[: upto + 1], upto
 
     @pytest.mark.parametrize("triple, form", [((0, 1, 0), "P"), ((2, 2, 2), "Q"), ((1, 0, 1), "P")])
     def test_matches_horner_at_the_real_block_size(self, triple, form):
         r = series._EXP_LEAF
         reference = horner_exp_numerators(cycle_weight_table(triple, form, 800), 800)
         for upto in (r - 1, r, r + 1, 2 * r - 1, 2 * r, 2 * r + 1, 800):
-            assert list(egf_coeffs(triple, form, upto).values) == reference[: upto + 1], upto
+            assert exp_kernel(triple, form, upto) == reference[: upto + 1], upto
+
+    @pytest.mark.parametrize("triple, form", [(t, form) for t, form in EXP_PAIRS if t[1] == 0])
+    def test_ordinary_route_of_j0_pairs_matches_the_kernel(self, triple, form):
+        for upto in (0, 1, 2, 300):
+            assert list(egf_coeffs(triple, form, upto).values) == exp_kernel(triple, form, upto), upto
 
     @pytest.mark.parametrize("v", ["1/3", "-2/3", "3/4", "5/6", "-7/10", "9/4", "2", "-3", "0"])
     @pytest.mark.parametrize("triple", [(0, 1, 0), (1, 2, 1)])
@@ -529,6 +539,64 @@ class TestSerialization:
     def test_decimal_parse_is_strict(self, token):
         with pytest.raises(ValueError):
             from_decimal(token)
+
+
+def unlimited_str(value):
+    """str(value) with the int/str digit limit lifted for the call."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def codec_edge_values():
+    """Ints one bit either side of each threshold of to_decimal, and 10^k - 1, 10^k, 10^k + 1 around the split
+    powers, where a low half is all zeros or all nines; both signs, and zero."""
+    rng = random.Random(26)
+    values = [0]
+    for threshold in (series._STR_BITS, 3000, series._DECIMAL_BITS):
+        for bits in (threshold - 1, threshold, threshold + 1):
+            values += [(1 << bits) - 1, 1 << bits - 1, 1 << bits - 1 | rng.getrandbits(bits - 1)]
+    for k in (256, 511, 512, 513, 1024, 4096, 2**14):
+        values += [10**k - 1, 10**k, 10**k + 1, 10 ** (2 * k) + 1, (10**k + 1) * 10**k]
+    values.append((1 << 2 * series._DECIMAL_BITS + 1) - 1)  # two levels of Decimal joins
+    return values + [-value for value in values[1:]]
+
+
+CODEC_EDGE_VALUES = codec_edge_values()
+
+
+@pytest.fixture(params=[None, 640], ids=["default-limit", "limit-640"])
+def digit_limit(request):
+    """The default int/str digit limit, or the lowest one allowed, for the test."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(request.param or sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+class TestDecimalHalves:
+    """to_decimal's routes: str() for short ints, decimal halves above _STR_BITS, Decimal joins above _DECIMAL_BITS."""
+
+    def test_edges_match_str(self, digit_limit):
+        for value in CODEC_EDGE_VALUES:
+            text = to_decimal(value)
+            assert text == unlimited_str(value), (value.bit_length(), value < 0)
+            assert from_decimal(text) == value, value.bit_length()
+
+    def test_fractions_with_large_parts_match_str(self, digit_limit):
+        big = [10**513 + 1, (1 << series._DECIMAL_BITS + 1) - 1, 7**5000, 3 * 10**4096]
+        for num in big + [-x for x in big] + [1, -2]:
+            for den in big[:3] + [1, 3]:
+                value = Fraction(num, den)
+                assert to_decimal(value) == unlimited_str(value), (num.bit_length(), den.bit_length())
+
+    def test_split_powers_are_powers_of_two(self):
+        to_decimal(10**30000 + 1)
+        from_decimal("7" * 30001)
+        assert series._POW10 and all(k & (k - 1) == 0 and power == 10**k for k, power in series._POW10.items())
 
 
 class TestCoeffSequence:
