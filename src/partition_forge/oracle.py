@@ -7,12 +7,13 @@ size (CYCLE_SUM_BOUND, PRODUCT_BOUND) so they remain obviously correct
 and quick enough for CI.
 
 The weights chi, psi and W are counted here from their definition, over
-ordered factorizations found by trial division; they share no code with
-the Euler-factor sieve of ``divisors`` that the fast path reads.
+ordered factorizations found by trial division, each memoized in a
+bounded cache; no code is shared with the sieve of ``divisors``.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial
 
 from .divisors import as_triple, check_form
@@ -21,10 +22,12 @@ CYCLE_SUM_BOUND = 40
 PRODUCT_BOUND = 200
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+@lru_cache(maxsize=4096)  # every n up to 2000, the largest n the checks reach
+def _divisors(n: int) -> tuple[int, ...]:
+    return tuple(d for d in range(1, n + 1) if n % d == 0)
 
 
+@lru_cache(maxsize=8192)  # k = 0, 1, 2 (triples with entries <= 2) for every n up to 2000
 def _tuples(k: int, n: int) -> int:
     """Ordered k-tuples of positive integers with product n; for k = 0 the
     empty product, which is 1 only at n = 1."""

@@ -26,8 +26,10 @@ W(L) = L * [z^L] log F(z):
   with v = a/b runs through the same code: the scaled weights
   T(k) = b^(k+1) W_v(k) are integers, and the scaled numerators
   P_m = b^(2m) p_m obey P_m = sum_j T(m-j) P_j prod_{i=j+1..m-1} (i*b),
-  the same recurrence with factors i*b in place of i; each P_m is
-  reduced to a Fraction once, at the end;
+  the same recurrence with factors i*b in place of i.  Every term but
+  T(1) P_(m-1) = a^2 P_(m-1) has a factor b, so P_m = a^(2m) mod each
+  prime of b: P_m / b^(2m) is in lowest terms, denominator exactly
+  b^(2m), checked by one remainder mod b and built without a gcd;
 
 * the log-derivative recurrence for the ordinary (j = 0) coefficients:
 
@@ -57,13 +59,13 @@ are joined in Decimal (as CPython 3.12's ``_pylong`` does).
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from collections import deque
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from itertools import accumulate, repeat
+from math import gcd
 from operator import add, mul, sub
 
 # DivisorTable, psi_table and cycle_weight_weighted are not called here;
@@ -209,6 +211,13 @@ def egf_coeffs(t, form: str, upto: int) -> CoeffSequence:
     return CoeffSequence(t, form, KIND_EGF, tuple(_exp_numerators(weights, upto)))
 
 
+def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
+    """numerator/denominator, already in lowest terms with denominator > 0: a Fraction without a gcd."""
+    value = object.__new__(Fraction)  # as CPython 3.12's Fraction._from_coprime_ints does
+    value._numerator, value._denominator = numerator, denominator
+    return value
+
+
 def egf_coeffs_weighted(t, v, upto: int) -> CoeffSequence:
     """Numerators of the v-weighted family, exact rationals.
 
@@ -217,7 +226,7 @@ def egf_coeffs_weighted(t, v, upto: int) -> CoeffSequence:
     recovers the P engine and v = -1 the Q engine.  With v = a/b the
     recurrence runs on the integers b^(k+1) W_v(k), the least power of b
     that clears their denominators, with the Horner factors j*b; the
-    numerators it returns are b^(2m) p_m.
+    numerators it returns are b^(2m) p_m, over exactly b^(2m).
     """
     t = as_triple(t)
     if upto < 0:
@@ -233,7 +242,9 @@ def egf_coeffs_weighted(t, v, upto: int) -> CoeffSequence:
         for e, k in enumerate(range(d, upto + 1, d), 1):
             scaled[k] += a_pow[e + 1] * b_pow[k - e] * chis[d]
     numerators = _exp_numerators(scaled, upto, b)
-    values = tuple(Fraction(q, b_pow[2 * m]) for m, q in enumerate(numerators))
+    if any(gcd(q % b, b) != 1 for q in numerators):  # never: P_m = a^(2m) mod each prime of b, gcd(a, b) = 1
+        raise ArithmeticError(f"a numerator shares a factor with b = {b} for triple {t}, v = {v}")
+    values = tuple(map(_coprime_fraction, numerators, b_pow[::2]))
     return CoeffSequence(t, "weighted", KIND_EGF, values, v=v)
 
 
@@ -369,6 +380,7 @@ def to_bfile(seq: CoeffSequence) -> str:
 
 def to_json(seq: CoeffSequence) -> str:
     """JSON rendering; big integers (and rationals) travel as decimal strings."""
+    import json  # here only: the other verbs never load it
     payload = {
         "triple": [seq.triple.i, seq.triple.j, seq.triple.k],
         "form": seq.form,

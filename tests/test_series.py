@@ -1,10 +1,11 @@
 import gc
 import json
+import pickle
 import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd
 from operator import mul
 
 import pytest
@@ -156,6 +157,47 @@ class TestWeighted:
         assert seq.v == v
         assert all(type(x) is Fraction for x in seq.values)
         assert weighted_series_rational(triple, v, 40) == list(seq.values)
+
+
+    # denominators with one prime (3, 2), two (6, 10), b = 1 (2, 1, -1) and v = 0
+    @pytest.mark.parametrize("v", ["1/3", "-3/4", "5/6", "-7/2", "7/10", "2", "0", "1", "-1"])
+    @pytest.mark.parametrize("triple", SMALL_TRIPLES)
+    def test_denominators_are_exactly_the_powers_of_b(self, triple, v):
+        b = Fraction(v).denominator
+        values = egf_coeffs_weighted(triple, Fraction(v), 60).values
+        assert [x.denominator for x in values] == [b ** (2 * m) for m in range(61)]
+        assert [m for m, x in enumerate(values) if gcd(x.numerator, b) != 1] == []
+
+    @pytest.mark.parametrize(
+        "numerator, denominator",
+        [
+            (0, 1), (1, 1), (-7, 1), (13, 81), (-217, 729), (5, 6**12), (-MERSENNE_61, 2**61),
+            pytest.param(MERSENNE_61**40, 10**40, id="m61^40-10^40"),
+        ],
+    )
+    def test_coprime_fraction_matches_a_normalized_one(self, numerator, denominator):
+        built, plain = series._coprime_fraction(numerator, denominator), Fraction(numerator, denominator)
+        assert type(built) is Fraction
+        assert (built.numerator, built.denominator) == (plain.numerator, plain.denominator)
+        assert built == plain and hash(built) == hash(plain) and repr(built) == repr(plain)
+        for other in (Fraction(1, 3), Fraction(-5, 2), 0, 1):
+            assert (built < other, built <= other, built > other) == (plain < other, plain <= other, plain > other)
+            assert built + other == plain + other and built * other == plain * other
+        assert built + built == plain + plain and built * built == plain * plain
+        restored = pickle.loads(pickle.dumps(built))
+        assert (restored.numerator, restored.denominator) == (plain.numerator, plain.denominator)
+
+    def test_numerator_sharing_a_factor_with_b_raises(self, monkeypatch):
+        exact = series._exp_numerators
+
+        def spoiled(weights, upto, scale=1):
+            p = exact(weights, upto, scale)
+            p[5] *= 3
+            return p
+
+        monkeypatch.setattr(series, "_exp_numerators", spoiled)
+        with pytest.raises(ArithmeticError, match="shares a factor with b = 3"):
+            egf_coeffs_weighted((0, 1, 0), Fraction(1, 3), 10)
 
 
 class TestOgfCoeffs:

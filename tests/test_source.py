@@ -102,6 +102,69 @@ def test_no_dataclasses_import():
     assert found == []
 
 
+def cache_name(node: ast.AST) -> str | None:
+    """The name a decorator or call uses: lru_cache for lru_cache(...), functools.lru_cache and the like."""
+    target = node.func if isinstance(node, ast.Call) else node
+    return target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+
+
+def unbounded_caches(source: str) -> list[int]:
+    """Lines of every lru_cache or cache in source that does not name a finite int maxsize."""
+    tree = ast.parse(source)
+    uses = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    uses += [
+        decorator
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for decorator in node.decorator_list
+        if not isinstance(decorator, ast.Call)
+    ]
+    found = []
+    for use in uses:
+        name = cache_name(use)
+        if name not in ("lru_cache", "cache"):
+            continue
+        sizes = [kw.value for kw in use.keywords if kw.arg == "maxsize"] + use.args[:1] if isinstance(use, ast.Call) else []
+        finite = len(sizes) == 1 and isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int
+        if name == "cache" or not finite or sizes[0].value <= 0:
+            found.append(use.lineno)
+    return sorted(found)
+
+
+def test_caches_have_a_finite_maxsize():
+    # caches have explicit bounds: every memo in the package names its maxsize
+    found, cached = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        found += [f"{path.name}:{line}" for line in unbounded_caches(source)]
+        cached |= {
+            f"{path.name}:{node.name}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and any(cache_name(d) in ("lru_cache", "cache") for d in node.decorator_list)
+        }
+    assert found == []
+    assert {"asympt.py:_growth_record", "oracle.py:_divisors", "oracle.py:_tuples"} <= cached
+
+
+@pytest.mark.parametrize(
+    "source, lines",
+    [
+        ("@lru_cache(maxsize=64)\ndef f(): pass", []),
+        ("@functools.lru_cache(256, typed=True)\ndef f(): pass", []),
+        ("@lru_cache\ndef f(): pass", [1]),
+        ("@lru_cache(maxsize=None)\ndef f(): pass", [1]),
+        ("@functools.lru_cache(None)\ndef f(): pass", [1]),
+        ("@lru_cache(typed=True)\ndef f(): pass", [1]),
+        ("@cache\ndef f(): pass", [1]),
+        ("@functools.cache\ndef f(): pass", [1]),
+        ("g = lru_cache(maxsize=None)(len)", [1]),
+        ("SIZE = 8\n@lru_cache(maxsize=SIZE)\ndef f(): pass", [2]),
+    ],
+)
+def test_unbounded_cache_check_flags_what_it_should(source, lines):
+    assert unbounded_caches(source) == lines
+
+
 def modules_after(code: str) -> set[str]:
     """sys.modules of a fresh interpreter after it runs code, with this tree's src/ first on the path."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
@@ -129,12 +192,12 @@ def test_package_import_loads_no_submodule():
         ),
         pytest.param(
             ["coeffs", "--triple", "0,1,0", "--form", "P", "--n", "5"],
-            ["partition_forge.asympt", "partition_forge.oracle", "dataclasses"],
+            ["partition_forge.asympt", "partition_forge.oracle", "dataclasses", "json"],
             id="coeffs",
         ),
         pytest.param(
             ["weighted", "--triple", "0,1,0", "--v", "1/3", "--n", "5"],
-            ["partition_forge.asympt", "partition_forge.oracle", "dataclasses"],
+            ["partition_forge.asympt", "partition_forge.oracle", "dataclasses", "json"],
             id="weighted",
         ),
     ],
