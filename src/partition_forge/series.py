@@ -36,11 +36,16 @@ W(L) = L * [z^L] log F(z):
       n * F_n = sum_{k=1..n} W(k) F_{n-k},   F_0 = 1,
 
   where for j = 0 W(k) equals sum_{d|k} d*psi(d) for P and the
-  sign-alternating analogue for Q.  W is known in advance, so the sum
-  runs semi-relaxed (van der Hoeven, as above): for four targets
-  n0..n0+3 at a time, lags 4..255 as one dot product of W with windows
-  of F packed in S-bit slots, H_a = sum_{s<4} F_{a+s} 2^(s*S), slot s
-  holding target n0+s, and lags 1..3 term by term; for each
+  sign-alternating analogue for Q.  Each is a positive integer, so each
+  F_n is too (a negative weight is refused): W is multiplicative, with
+  Bell series prod (1 - p^s x)^(-count) at odd p and, for Q at p = 2,
+  (1 - 4x)^(-i) (1 - 2x)^(1-k) (1 - x)^(-1), b_e - 2 b_(e-1) > 0 at k = 0
+  for b of (1 - 4x)^(-i) (1 - x)^(-1).  W is known in advance, so the sum
+  runs semi-relaxed (van der Hoeven, as above): for four targets n0..n0+3
+  at a time, lags 4..255 as one dot product of W with windows of F in
+  S-bit slots, H_a = sum_{s<4} F_{a+s} 2^(s*S), slot s summing the
+  non-negative terms of target n0+s, H_(a+1) = (H_a >> S) + (F_(a+4) << 3S)
+  (from H = 0 when S widens); lags 1..3 term by term; for each
   b = 256 * 2^r the block product F[a : a+b) * W[b : 2b), a a multiple
   of b, once F[a : a+b) is known, by Kronecker substitution (Harvey,
   J. Symbolic Comput. 44, 2009) in base 10: each factor is packed as one
@@ -185,8 +190,7 @@ def _exp_solve(weights: list[int], p: list[int], lo: int, hi: int, scale: int) -
     if hi - mid > s:  # the odd target hi-1
         sums.append(sum(map(mul, weights[2 * s : s : -1], q)))
     for m, y in zip(range(mid, hi), sums):
-        a = p[m]
-        p[m] = a * tail + y if a else y  # a = 0 at lo = 0, where tail = 0
+        p[m] = p[m] * tail + y  # p[m] = tail = 0 at lo = 0
     del q, sums  # not held through the right half
     _exp_solve(weights, p, mid, hi, scale)
 
@@ -255,17 +259,14 @@ def _pack(xs: list[int], digits: int) -> Decimal:
 
 
 def _add_block_product(f: list[int], w: list[int], acc: list[int], start: int) -> None:
-    """acc[start + i] += sum_{p+q=i} f[p] * w[q] for f >= 0; w goes in split by sign, the product back by slots."""
-    digits = len(to_decimal(max(f))) + len(to_decimal(max(map(abs, w)))) + len(str(len(f)))
-    packed_f = _pack(f, digits)
+    """acc[start + i] += sum_{p+q=i} f[p] * w[q] for f, w >= 0: one product of two packs, read back by slots."""
+    digits = len(to_decimal(max(f))) + len(to_decimal(max(w))) + len(str(len(f)))
     span = len(f) + len(w) - 1
+    text = str(_EXACT.multiply(_pack(f, digits), _pack(w, digits))).zfill(span * digits)
+    slots = [text[i : i + digits] for i in range(0, span * digits, digits)]
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (none before 3.10.7)
-    for op, part in ((add, [x if x > 0 else 0 for x in w]), (sub, [-x if x < 0 else 0 for x in w])):
-        if any(part):
-            text = str(_EXACT.multiply(packed_f, _pack(part, digits))).zfill(span * digits)
-            slots = [text[i : i + digits] for i in range(0, span * digits, digits)]
-            coeffs = map(int, slots) if not limit or digits <= limit else map(_from_digits, slots)
-            acc[start : start + span] = map(op, acc[start : start + span], coeffs)
+    coeffs = map(int, slots) if not limit or digits <= limit else map(_from_digits, slots)
+    acc[start : start + span] = map(add, acc[start : start + span], coeffs)
 
 
 def ogf_coeffs_euler(t, form: str, upto: int) -> CoeffSequence:
@@ -277,30 +278,28 @@ def ogf_coeffs_euler(t, form: str, upto: int) -> CoeffSequence:
     if upto < 0:
         raise ValueError("upto must be >= 0")
     c = cycle_weight_table(t, form, max(upto, 1))
+    if min(c[1:]) < 0:  # never: every j = 0 weight is a positive integer (module docstring)
+        lag = next(n for n in range(1, len(c)) if c[n] < 0)
+        raise ArithmeticError(f"negative weight W({lag}) = {c[lag]} for triple {t}, form {form}")
     k = min(_PACK, _NAIVE_LAGS - 1)  # targets per group; at least one lag is packed
     near, far = c[1:k], c[k:_NAIVE_LAGS]  # lags 1..k-1 term by term, k.._NAIVE_LAGS-1 packed
-    far_bits = max(map(int.bit_length, far), default=0) + len(far).bit_length() + 1  # + a sign bit
+    far_bits = max(map(int.bit_length, far), default=0) + len(far).bit_length()
     recent = deque([1], maxlen=k - 1)  # F_{n-1}, ..., F_{n-k+1}, newest first
     values = [1] + [0] * upto
     acc = [0] * (2 * upto + 1)  # sums over the lags >= _NAIVE_LAGS; block targets run past upto
     width = f_bits = 0
-
-    def window(a):  # H_a = sum_{s<k} F_{a+s} 2^(s*width), F_i = 0 for i < 0: H_a = 0 for a <= -k
-        return sum(values[i] << (i - a) * width for i in range(max(a, 0), a + k))
-
     for n0 in range(1, upto + 1, k):
         f_bits = max(f_bits, *map(int.bit_length, values[max(n0 - k, 0) : n0]))
-        if f_bits + far_bits > width:  # F outgrew its slots: widen them, repack every window
+        start = n0 - k  # windows H_a = sum_{s<k} F_{a+s} 2^(s*width), newest first, H_{n0-k} due
+        if f_bits + far_bits > width:  # F outgrew its slots: widen them, rebuild the windows from H = 0
             width = f_bits + far_bits + max(64, (f_bits + far_bits) >> 2)  # margins 32 or 64, or doubling: slower
-            half, mask, top = 1 << width - 1, (1 << width) - 1, (k - 1) * width
-            bias = sum(half << s * width for s in range(k))  # half in every slot, so signed sums read back
-            windows = deque(map(window, range(n0 - k, max(n0 - k - len(far), -k), -1)), maxlen=len(far))
-        else:
-            for f in values[n0 - k : n0]:  # H_{a+1} from H_a: drop F_a (|F_a| < half), add F_{a+k}
-                windows.appendleft((windows[0] + half >> width) + (f << top))
-        packed = sum(map(mul, far, windows), bias)  # slot s: lags k.._NAIVE_LAGS-1 of target n0+s
+            mask, top, start = (1 << width) - 1, (k - 1) * width, max(start - len(far) + 1, 0)
+            windows = deque([0], maxlen=max(len(far), 1))  # H_a = 0 for a <= -k; far is empty when upto < k
+        for f in values[start:n0]:  # H_{a+1} = (H_a >> width) + (F_{a+k} << top): k of them push out any window
+            windows.appendleft((windows[0] >> width) + (f << top))
+        packed = sum(map(mul, far, windows))  # slot s: lags k.._NAIVE_LAGS-1 of target n0+s
         for n in range(n0, min(n0 + k, upto + 1)):
-            q, r = divmod(acc[n] + (packed >> (n - n0) * width & mask) - half + sum(map(mul, near, recent)), n)
+            q, r = divmod(acc[n] + (packed >> (n - n0) * width & mask) + sum(map(mul, near, recent)), n)
             if r:
                 raise ArithmeticError(f"inexact division at n={n} for triple {t}, form {form}")
             values[n] = q

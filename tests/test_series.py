@@ -230,6 +230,14 @@ class TestOgfCoeffs:
         for triple in [(1, 0, 0), (0, 0, 2), (1, 0, 1)]:
             for form in ("P", "Q"):
                 assert all(v >= 0 for v in ogf_coeffs_euler(triple, form, 80).values)
+        # every j = 0 weight, P and Q, is a positive integer (its Bell series at each prime has positive
+        # coefficients), so every ordinary coefficient is too: the kernel's slots hold no negative sum
+        for i in range(5):
+            for k in range(5):
+                for form in ("P", "Q") if i + k else ():
+                    assert min(cycle_weight_table((i, 0, k), form, 20000)[1:]) >= 1, (i, k, form)
+                    if i <= 2 and k <= 2:
+                        assert min(ogf_coeffs_euler((i, 0, k), form, 2000).values) >= 1, (i, k, form)
 
     def test_inexact_division_raises(self, monkeypatch):
         # c_1 = 1, c_2 = 0 gives 2 * F_2 = 1, which has no integer solution
@@ -325,18 +333,20 @@ class TestOgfBlockKernel:
                     values = ogf_coeffs_euler(triple, form, upto).values
                     assert values == reference[: upto + 1], (pack, short_lags, upto)
 
-    @pytest.mark.parametrize("ratio", [1, 2, 3, 4])
-    def test_negative_slot_sums(self, monkeypatch, ratio):
-        # with a = ratio, W(k) = 5 (-a)^k is W of F = (1 + az)^-5, F_n = (-a)^n C(n+4, 4): every short-lag sum
-        # alternates in sign, where no sum of the real j = 0 weights goes negative; the uptos
-        # stay below _NAIVE_LAGS, as block products take F >= 0
-        monkeypatch.setattr(
-            series, "cycle_weight_table", lambda t, form, limit: [0] + [5 * (-ratio) ** k for k in range(1, limit + 1)]
-        )
-        b = series._NAIVE_LAGS
-        expected = tuple((-ratio) ** n * comb(n + 4, 4) for n in range(b))
-        for upto in (0, 1, 2, 3, 4, 5, 33, b - 1):
-            assert ogf_coeffs_euler((0, 0, 1), "P", upto).values == expected[: upto + 1], upto
+    def test_negative_weight_raises(self, monkeypatch):
+        # the kernel's slots take only non-negative sums; a table with a negative weight, at a lag summed
+        # term by term, in the packed dot product or only in a block product, is refused with that lag named
+        for lag in (2, 5, series._NAIVE_LAGS + 3):
+
+            def corrupted(t, form, limit, lag=lag):
+                table = cycle_weight_table(t, form, limit)
+                table[lag] = -table[lag]
+                table[lag + 1] = -1  # a second negative weight: the first is the one named
+                return table
+
+            monkeypatch.setattr(series, "cycle_weight_table", corrupted)
+            with pytest.raises(ArithmeticError, match=rf"negative weight W\({lag}\) = -\d+ for triple"):
+                ogf_coeffs_euler((0, 0, 1), "P", lag + 50)
 
     def test_slots_past_the_int_str_digit_limit(self, monkeypatch):
         # W(k) = 5 a^k is W of F = (1 - az)^-5, F_n = a^n C(n+4, 4) >= 0; with a = 10^5 every block product's
@@ -360,7 +370,8 @@ class TestOgfBlockKernel:
         # the default decimal context's Emax; the schoolbook sums are checked at every 97th target and the last
         rng = random.Random(13)
         f = [rng.randrange(10 ** 45) for _ in range(10 ** 4)]
-        w = [rng.randrange(-(10 ** 45), 10 ** 45) for _ in range(10 ** 4)]
+        w = [rng.randrange(10 ** 45) for _ in range(10 ** 4)]
+        assert len(str(max(f))) + len(str(max(w))) + len(str(len(f))) == 95
         before = [rng.randrange(-(10 ** 9), 10 ** 9) for _ in range(2 * 10 ** 4 + 5)]
         acc = list(before)
         series._add_block_product(f, w, acc, 3)
@@ -372,12 +383,12 @@ class TestOgfBlockKernel:
 
     @pytest.mark.parametrize("digits", [512, 513])
     def test_block_product_at_the_slot_parse_boundary(self, digits):
-        # slots of 512 and 513 digits, signed w, under the lowest digit limit (640): both parse with int()
+        # slots of 512 and 513 digits under the lowest digit limit (640): both parse with int()
         rng = random.Random(digits)
         f = [rng.randrange(10 ** 254, 10 ** 255) for _ in range(6)]
-        k = digits - 255 - 1  # digits of max |w|, beside 255 of max f and 1 of len(f)
-        w = [sign * rng.randrange(10 ** (k - 1), 10 ** k) for sign in (1, -1, 1, 1, -1, -1, 1)]
-        assert len(str(max(f))) + len(str(max(map(abs, w)))) + len(str(len(f))) == digits
+        k = digits - 255 - 1  # digits of max w, beside 255 of max f and 1 of len(f)
+        w = [rng.randrange(10 ** (k - 1), 10 ** k) for _ in range(7)]
+        assert len(str(max(f))) + len(str(max(w))) + len(str(len(f))) == digits
         before = [rng.randrange(-(10 ** 9), 10 ** 9) for _ in range(len(f) + len(w) + 5)]
         acc = list(before)
         limit = sys.get_int_max_str_digits()
@@ -394,14 +405,14 @@ class TestOgfBlockKernel:
 
     def test_block_product_parses_wide_slots_whole_under_the_default_limit(self, monkeypatch):
         # slots of 1500 digits are under the default int/str digit limit (4300), so int() parses them whole
-        def refuse(digits, powers):
+        def refuse(digits):
             raise AssertionError("a slot under the live digit limit went through _from_digits")
 
         monkeypatch.setattr(series, "_from_digits", refuse)
         rng = random.Random(1500)
         f = [rng.randrange(10 ** 749, 10 ** 750) for _ in range(5)]
-        w = [sign * rng.randrange(10 ** 748, 10 ** 749) for sign in (1, -1, -1, 1, 1, -1)]
-        assert len(str(max(f))) + len(str(max(map(abs, w)))) + len(str(len(f))) == 1500
+        w = [rng.randrange(10 ** 748, 10 ** 749) for _ in range(6)]
+        assert len(str(max(f))) + len(str(max(w))) + len(str(len(f))) == 1500
         before = [rng.randrange(-(10 ** 9), 10 ** 9) for _ in range(len(f) + len(w) + 5)]
         acc = list(before)
         limit = sys.get_int_max_str_digits()
