@@ -333,6 +333,18 @@ class TestOgfBlockKernel:
                     values = ogf_coeffs_euler(triple, form, upto).values
                     assert values == reference[: upto + 1], (pack, short_lags, upto)
 
+    @pytest.mark.parametrize("ratio", [1, 2, 3, 4])
+    def test_negative_slot_sums(self, monkeypatch, ratio):
+        # with a = ratio, W(k) = 5 (-a)^k is W of F = (1 + az)^-5, F_n = (-a)^n C(n+4, 4): every short-lag sum
+        # alternates in sign, where no sum of the real j = 0 weights goes negative; the kernel's slots take
+        # only non-negative sums, so at every upto, 0 included, the table is refused at its first lag
+        monkeypatch.setattr(
+            series, "cycle_weight_table", lambda t, form, limit: [0] + [5 * (-ratio) ** k for k in range(1, limit + 1)]
+        )
+        for upto in (0, 1, 2, 3, 4, 5, 33, series._NAIVE_LAGS - 1, series._NAIVE_LAGS + 3):
+            with pytest.raises(ArithmeticError, match=rf"negative weight W\(1\) = {-5 * ratio} for triple"):
+                ogf_coeffs_euler((0, 0, 1), "P", upto)
+
     def test_negative_weight_raises(self, monkeypatch):
         # the kernel's slots take only non-negative sums; a table with a negative weight, at a lag summed
         # term by term, in the packed dot product or only in a block product, is refused with that lag named
