@@ -7,9 +7,11 @@ prod (1 - p^s x)^(-count) at each prime p, psi(i, 0, k) = chi(0, k, i),
 tau_k = chi(0, k, 0) and W_P(i, j, k) = chi * 1 = chi(i, j+1, k).
 W_Q = chi * eps, eps(m) = (-1)^(m+1), is W_P with its Bell series at
 p = 2 times (1 - 2x), the one factor that is not geometric.  One sieve
-builds a table for n = 1..limit from the primes of a sieve of
-Eratosthenes, one list slice per prime power; these tables are the only
-route to a weight.
+builds a table for n = 1..limit, odd n first: a sieve of Eratosthenes
+over the odd numbers finds the odd primes, and each touches only its odd
+multiples, one list slice per prime power.  Every even entry then follows
+from an odd one by f(2^v m) = f(2^v) f(m) for odd m.  These tables are
+the only route to a weight.
 """
 
 from __future__ import annotations
@@ -76,56 +78,53 @@ class DivisorTable:
         return self._lists[n]
 
 
-def _bell(p: int, a: int, factors, alternating: bool) -> list[int]:
-    """f(1), f(p), ..., f(p^a): the Bell series of f at p to x^a, times (1 - 2x) at p = 2 if alternating."""
+def _bell(p: int, limit: int, i: int, j: int, k: int, alternating: bool = False) -> list[int]:
+    """f(1), f(p), ..., f(p^a), p^a <= limit < p^(a+1): the Bell series
+    (1 - p^2 x)^(-i) (1 - p x)^(-k) (1 - x)^(-j), times (1 - 2x) if alternating."""
+    a = 0
+    while p ** (a + 1) <= limit:
+        a += 1
     c = [1] + [0] * a
-    for s, count in factors:
-        q = p**s
+    for q, count in ((p * p, i), (p, k), (1, j)):
         for _ in range(count):
             for e in range(1, a + 1):
                 c[e] += q * c[e - 1]
-    if alternating and p == 2:
+    if alternating:
         for e in range(a, 0, -1):
             c[e] -= 2 * c[e - 1]
     return c
 
 
-def _euler_table(factors, limit: int, alternating: bool = False) -> list[int]:
-    """f(n) for n = 1..limit (index 0 unused), f the multiplicative function
-    with Bell series prod over (s, count) in factors of (1 - p^s x)^(-count),
-    times (1 - 2x) at p = 2 if alternating (W_Q from the factors of W_P)."""
+def _euler_table(i: int, j: int, k: int, limit: int, alternating: bool = False) -> list[int]:
+    """chi(i, j, k)(n) for n = 1..limit (index 0 unused), times (1 - 2x) in
+    the Bell series at p = 2 if alternating (W_Q from the counts of W_P)."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    is_prime = bytearray([0, 0]) + bytearray([1]) * (limit - 1)
-    for p in range(2, isqrt(limit) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    primes = list(compress(range(limit + 1), is_prime))
-    # 2 takes its whole Bell series even above sqrt(limit): W_Q has the factor (1 - 2x) there
-    split = bisect(primes, max(isqrt(limit), 2))
+    is_prime = bytearray([0]) + bytearray([1]) * ((limit - 1) // 2)  # index h: n = 2h + 1
+    for h in range(1, (isqrt(limit) + 1) // 2):
+        if is_prime[h]:
+            p = 2 * h + 1
+            is_prime[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(is_prime), p)))
+    primes = list(compress(range(1, limit + 1, 2), is_prime))
+    split = bisect(primes, isqrt(limit))
     f = [0] + [1] * limit
-    # a prime p > sqrt(limit) divides each n <= limit at most once and shares no n
-    # with another such prime: f(p) alone fills in its multiples, before the rest
-    large = primes[split:]
-    f_p = [0] * len(large)
-    for s, count in factors:
-        f_p = [x + count * p**s for x, p in zip(f_p, large)]
-    for p, value in zip(large, f_p):
-        f[p::p] = [value] * (limit // p)
-    part = [0] * (limit + 1)  # part[n] = f(p^e) for p^e the full power of p dividing n
+    # odd n first.  A prime p > sqrt(limit) divides each n <= limit at most once
+    # and shares no n with another such prime: f(p) alone fills its odd multiples
+    for p in primes[split:]:
+        f[p :: 2 * p] = [(i * p + k) * p + j] * ((limit // p + 1) // 2)
     for p in primes[:split]:
-        powers = [p]
-        while powers[-1] * p <= limit:
-            powers.append(powers[-1] * p)
-        for q, value in zip(powers, _bell(p, len(powers), factors, alternating)[1:]):
-            part[q::q] = [value] * (limit // q)
-        f[p::p] = map(mul, f[p::p], part[p::p])
+        bell = _bell(p, limit, i, j, k)
+        # entry h of mult: f(p^e), p^e the full power of p dividing (2h + 1) p
+        mult = [bell[1]] * ((limit // p + 1) // 2)
+        q = p
+        for value in bell[2:]:  # value = f(p q), and q divides 2h + 1 at h = q//2, q//2 + q, ...
+            mult[q // 2 :: q] = [value] * ((limit // (q * p) + 1) // 2)
+            q *= p
+        f[p :: 2 * p] = map(mul, f[p :: 2 * p], mult)
+    # then even n = 2^v m, m odd: f(2^v m) = f(2^v) f(m)
+    for v, value in enumerate(_bell(2, limit, i, j, k, alternating)[1:], 1):
+        f[1 << v :: 2 << v] = [value * x for x in f[1 : (limit >> v) + 1 : 2]]
     return f
-
-
-def _chi_factors(t) -> tuple:
-    i, j, k = as_triple(t)
-    return ((2, i), (1, k), (0, j))
 
 
 def check_form(form: str) -> None:
@@ -136,7 +135,7 @@ def check_form(form: str) -> None:
 
 def chi_table(t, limit: int) -> list[int]:
     """chi(n) for n = 1..limit (index 0 unused)."""
-    return _euler_table(_chi_factors(t), limit)
+    return _euler_table(*as_triple(t), limit)
 
 
 def psi_table(t, limit: int) -> list[int]:
@@ -158,4 +157,4 @@ def cycle_weight_table(t, form: str, limit: int) -> list[int]:
     """W(L) for L = 1..limit (index 0 unused): chi of (i, j+1, k), times (1 - 2x) at p = 2 for Q."""
     check_form(form)
     i, j, k = as_triple(t)
-    return _euler_table(_chi_factors((i, j + 1, k)), limit, form == "Q")
+    return _euler_table(i, j + 1, k, limit, form == "Q")

@@ -253,10 +253,13 @@ SCATTERED_LENGTHS = sorted(
 )
 
 # every limit up to 130, and p^2 - 1, p^2, p^2 + 1 and 2p^2 for the primes p <= 19,
-# where the largest prime with its whole Bell series changes
+# where the largest prime with its whole Bell series changes; 2^v - 1, 2^v and
+# 2^v + 1 for v = 8, 9, where the last power of 2 that even entries take changes;
+# and odd cubes
 SIEVE_LIMITS = sorted(
     set(range(1, 131))
     | {n for p in (2, 3, 5, 7, 11, 13, 17, 19) for n in (p * p - 1, p * p, p * p + 1, 2 * p * p)}
+    | {255, 256, 257, 511, 512, 513, 27, 125, 343}
 )
 SIEVE_REFERENCE_LIMIT = 800  # above 2 * 19^2
 
