@@ -75,14 +75,19 @@ def lambert_w_log(ln_x: float) -> float:
     """Principal-branch Lambert W of x = e^y > 0, from y = ln_x alone.
 
     Solves w + ln w = y in fixed fourth-order Fritsch-Shafer-Crowley steps
-    (CACM 16, 1973), so y may lie far beyond float range: one step from
-    y - ln y + ln y / y for y > 8, two from Winitzki's approximation (2003)
-    for -37 < y <= 8, within 4e-15 relative.  Below, W(x) rounds to x, so
-    e^y is returned (0.0 at y = -800 or -inf); inf or NaN raises ValueError.
+    (CACM 16, 1973), so y may lie far beyond float range: one step (_fsc_step
+    written out inline, to save the call) from y - ln y + ln y / y for y > 8,
+    two from Winitzki's approximation (2003) for -37 < y <= 8, within 4e-15
+    relative.  Below, W(x) rounds to x, so e^y is returned (0.0 at y = -800
+    or -inf); inf or NaN raises ValueError.
     """
     y = ln_x
     if 8.0 < y < inf:
-        return _fsc_step(y - log(y) * (1.0 - 1.0 / y), y)
+        w = y - log(y) * (1.0 - 1.0 / y)
+        z = y - log(w) - w
+        w1 = 1.0 + w
+        h, t = w1 + 2.0 / 3.0 * z, z / w1
+        return w * (1.0 + t * (h - 0.5 * t) / (h - t))
     if -37.0 < y <= 8.0:
         a = log1p(exp(y))
         return _fsc_step(_fsc_step(a * (1.0 - log1p(a) / (2.0 + a)), y), y)
@@ -216,18 +221,18 @@ class GrowthTerms(NamedTuple):
     index_power: float
 
 
-_GrowthRecord = namedtuple("_GrowthRecord", "triple s ln_C m ln_scale factor terms residue0")
+_GrowthRecord = namedtuple("_GrowthRecord", "triple s ln_C m ln_scale factor terms residue0 closed_form")
 
 
-@lru_cache(maxsize=256, typed=True)  # every (triple, form) with i, j, k <= 4 fits
-def _growth_record(form: str, *t) -> _GrowthRecord:
+@lru_cache(maxsize=256)  # every (triple, form) with i, j, k <= 4 fits
+def _growth_record(form: str, t) -> _GrowthRecord:
     """The dominant pole (s, p, c) of one (triple, form) and the constants read off it.
 
     s is the rightmost pole (2 if i >= 1, else 1 if k >= 1, else 0), p
     the degree in log t of its residue polynomial (_pole_degree), and c
     the magnitude of the leading coefficient, whose sign is checked
-    against (-1)^p.  The triple comes unpacked, and typed=True keeps
-    True and 1.0 apart from 1.
+    against (-1)^p.  The cache is untyped, so it is reached only through
+    _record, which lets in no True or 1.0 to match a cached 1.
     """
     t = as_triple(t)
     check_form(form)
@@ -245,7 +250,14 @@ def _growth_record(form: str, *t) -> _GrowthRecord:
         raise ValueError(f"growth constant must be real and positive, got {terms.constant} for {t} {form}")
     lower0 = _lower_terms(t, form, 0)
     residue0 = None if lower0 is None else lower0 + (residue_leading(t, form, 0),)
-    return _GrowthRecord(t, s, log(C), m, ln_scale, -m / (s + 1), terms, residue0)
+    return _GrowthRecord(t, s, log(C), m, ln_scale, -m / (s + 1), terms, residue0, _FULL_COEFF.get((form, t)))
+
+
+def _record(form: str, t) -> _GrowthRecord:
+    # the only way into _growth_record's untyped cache: all but a tuple of three exact ints pass through as_triple
+    if not (type(t) is tuple and len(t) == 3 and type(t[0]) is type(t[1]) is type(t[2]) is int):
+        t = as_triple(t)
+    return _growth_record(form, t)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +290,8 @@ def weak_saddle_alpha(t, form: str, n: float | None = None, *, ln_n: float | Non
     log-domain Lambert W kernel takes as a logarithm, so n may be far
     beyond float range.
     """
-    r = _growth_record(form, *t)
-    L = _resolve_ln_n(n, ln_n)
+    r = _record(form, t)
+    L = ln_n if n is None and type(ln_n) is float and 0.0 < ln_n < inf else _resolve_ln_n(n, ln_n)
     if r.m == 0:
         return -(L - r.ln_C) / (r.s + 1)
     return r.factor * lambert_w_log(r.ln_scale + (L - r.ln_C) / r.m)
@@ -292,7 +304,7 @@ def log_growth_terms(t, form: str) -> GrowthTerms:
     ((s+1)/s) (s c / (s+1)^p)^(1/(s+1)) (ln n)^(p/(s+1)) n^(s/(s+1)),
     and at s = 0 it is c (ln n)^p.
     """
-    return _growth_record(form, *t).terms
+    return _record(form, t).terms
 
 
 def log_coeff_asymptotic(t, form: str, n: float | None = None, *, ln_n: float | None = None) -> float:
@@ -307,20 +319,19 @@ def log_coeff_asymptotic(t, form: str, n: float | None = None, *, ln_n: float | 
     Gaussian width term -ln n is of the same order, and log [z^n] Q ~
     (log2 - 1) * ln n, which coeff_asymptotic gives.
     """
-    L = _resolve_ln_n(n, ln_n)
-    terms = _growth_record(form, *t).terms
-    value = terms.constant
-    if terms.log_power:
-        value *= L ** terms.log_power
-    if terms.index_power:
-        value *= exp(terms.index_power * L)
+    L = ln_n if n is None and type(ln_n) is float and 0.0 < ln_n < inf else _resolve_ln_n(n, ln_n)
+    value, log_power, index_power = _record(form, t).terms
+    if log_power:
+        value *= L ** log_power
+    if index_power:
+        value *= exp(index_power * L)
     return value
 
 
 def log_coeff_asymptotic_ln(t, form: str, n: float | None = None, *, ln_n: float | None = None) -> float:
     """ln of log_coeff_asymptotic, ln constant + log_power ln ln n + index_power ln n."""
     L = _resolve_ln_n(n, ln_n)
-    constant, log_power, index_power = _growth_record(form, *t).terms
+    constant, log_power, index_power = _record(form, t).terms
     return log(constant) + log_power * log(L) + index_power * L
 
 
@@ -359,14 +370,10 @@ class CoeffEstimate(NamedTuple):
         return exp(self.ln)
 
 
-# the (form, triple) pairs with a closed-form coefficient estimate
-_FULL_COEFF = {
-    ("P", (0, 0, 1)),
-    ("Q", (0, 0, 1)),
-    ("P", (0, 1, 0)),
-    ("Q", (0, 1, 0)),
-    ("Q", (0, 2, 0)),
-}
+# (form, triple) -> the tag of its closed-form coefficient estimate, which its growth record carries
+_FULL_COEFF = {("P", (0, 0, 1)): "P001", ("Q", (0, 0, 1)): "Q001", ("P", (0, 1, 0)): "P010",
+               ("Q", (0, 1, 0)): "Q010", ("Q", (0, 2, 0)): "Q020"}
+_MIN_LN_N = math.log(2.0) - 1e-12  # coeff_asymptotic needs n >= 2, less a rounding margin
 
 
 def coeff_asymptotic(t, form: str, n: float | None = None, *, ln_n: float | None = None) -> CoeffEstimate:
@@ -379,21 +386,19 @@ def coeff_asymptotic(t, form: str, n: float | None = None, *, ln_n: float | None
     Square roots of log factors that are negative for every finite index
     are evaluated on the real branch, i.e. with the magnitude of the log.
     """
-    r = _growth_record(form, *t)
-    key = (form, r.triple)
-    if key not in _FULL_COEFF:  # before n is read, so a caller can fall back to the growth law at any index
-        raise NoClosedFormError(
-            f"no closed-form coefficient estimate for triple {r.triple}, form {form}"
-        )
-    L = _resolve_ln_n(n, ln_n, minimum=math.log(2.0) - 1e-12)
+    r = _record(form, t)
+    if (closed_form := r.closed_form) is None:  # before n is read, so a caller can fall back to the growth law
+        raise NoClosedFormError(f"no closed-form coefficient estimate for triple {r.triple}, form {form}")
+    fast = n is None and type(ln_n) is float and _MIN_LN_N < ln_n < inf
+    L = ln_n if fast else _resolve_ln_n(n, ln_n, minimum=_MIN_LN_N)
     g = _G
-    if key == ("P", (0, 0, 1)):
+    if closed_form == "P001":
         # exp(pi*sqrt(2n/3)) / (4*sqrt(3)*n)
         ln_est = pi * sqrt(2.0 * exp(L) / 3.0) - log(4.0 * sqrt(3.0)) - L
-    elif key == ("Q", (0, 0, 1)):
+    elif closed_form == "Q001":
         # exp(pi*sqrt(n/3)) / (4*3^(1/4)*n^(3/4))
         ln_est = pi * sqrt(exp(L) / 3.0) - log(4.0) - 0.25 * log(3.0) - 0.75 * L
-    elif key == ("P", (0, 1, 0)):
+    elif closed_form == "P010":
         # (w/n)^(1-gamma) * exp(c0 + w + log^2(w/n)/2) / width
         # with w = W(e^gamma * n).  The Gaussian width under the root is
         # evaluated exactly as 2*pi*(gamma + 1 - log(w/n)), the curvature
@@ -405,7 +410,7 @@ def coeff_asymptotic(t, form: str, n: float | None = None, *, ln_n: float | None
         lt = log(w) - L
         width = 2.0 * pi * (g + 1.0 - lt)
         ln_est = (1.0 - g) * lt + c0 + w + lt * lt / 2.0 - 0.5 * log(width)
-    elif key == ("Q", (0, 1, 0)):
+    elif closed_form == "Q010":
         # 2^(gamma - log2/2 + 1/2) / (sqrt(pi) * log2^(log2 - 1/2)) * n^(log2 - 1)
         l2 = _L2
         ln_const = (g - l2 / 2.0 + 0.5) * l2 - 0.5 * log(pi) - (l2 - 0.5) * log(l2)

@@ -378,14 +378,9 @@ def to_bfile(seq: CoeffSequence) -> str:
 
 
 def to_json(seq: CoeffSequence) -> str:
-    """JSON rendering; big integers (and rationals) travel as decimal strings."""
-    import json  # here only: the other verbs never load it
-    payload = {
-        "triple": [seq.triple.i, seq.triple.j, seq.triple.k],
-        "form": seq.form,
-        "kind": seq.kind,
-        "values": [to_decimal(value) for value in seq.values],
-    }
-    if seq.v is not None:
-        payload["v"] = to_decimal(seq.v)
-    return json.dumps(payload)
+    """JSON text as json.dumps writes it; values (and v) travel as decimal strings, which need no escaping."""
+    (i, j, k), v = seq.triple, "" if seq.v is None else f', "v": "{to_decimal(seq.v)}"'
+    texts = list(map(to_decimal, seq.values))  # never empty; the end items carry head and tail: one join, one copy
+    texts[0] = f'{{"triple": [{i}, {j}, {k}], "form": "{seq.form}", "kind": "{seq.kind}", "values": ["{texts[0]}'
+    texts[-1] += f'"]{v}}}'
+    return '", "'.join(texts)

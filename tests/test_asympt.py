@@ -659,6 +659,7 @@ class TestIndexValidation:
         calls = [
             lambda: weak_saddle_alpha((2, 0, 1), "P", n),
             lambda: log_coeff_asymptotic((0, 0, 1), "Q", n),
+            lambda: log_coeff_asymptotic_ln((1, 0, 0), "Q", n),
             lambda: coeff_asymptotic((0, 0, 1), "P", n),
             lambda: kotesovec_ratio(n=n),
         ]
@@ -671,12 +672,22 @@ class TestIndexValidation:
         calls = [
             lambda: weak_saddle_alpha((0, 2, 0), "Q", ln_n=ln_n),
             lambda: log_coeff_asymptotic((1, 1, 1), "P", ln_n=ln_n),
+            lambda: log_coeff_asymptotic_ln((0, 1, 0), "P", ln_n=ln_n),
             lambda: coeff_asymptotic((0, 1, 0), "P", ln_n=ln_n),
             lambda: kotesovec_ratio(log10_n=ln_n),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="ln n = "):
                 call()
+
+    @pytest.mark.parametrize(
+        "entry", [weak_saddle_alpha, log_coeff_asymptotic, log_coeff_asymptotic_ln, coeff_asymptotic]
+    )
+    @pytest.mark.parametrize("args, kwargs", [((10.0,), {"ln_n": 5.0}), ((), {})], ids=["both", "neither"])
+    def test_exactly_one_of_n_and_ln_n(self, entry, args, kwargs):
+        # a valid float ln_n must not let a call skip the check that n is absent
+        with pytest.raises(ValueError, match="supply exactly one of n and its logarithm"):
+            entry((0, 1, 0), "P", *args, **kwargs)
 
 
 @pytest.fixture
@@ -688,16 +699,19 @@ def cold_growth_records():
 
 
 class TestGrowthRecordCache:
-    """One record per (triple, form), cached by type as well as value."""
+    """One record per (triple, form); only a tuple of three exact ints reaches the untyped cache as it is."""
 
     CALLS = (
         lambda t, f: weak_saddle_alpha(t, f, ln_n=5.0),
         lambda t, f: log_coeff_asymptotic(t, f, ln_n=5.0),
+        lambda t, f: log_coeff_asymptotic_ln(t, f, ln_n=5.0),
         lambda t, f: log_growth_terms(t, f),
         lambda t, f: coeff_asymptotic(t, f, ln_n=5.0),
     )
 
-    @pytest.mark.parametrize("bad", [(True, 0, 0), (1.0, 0, 0), (0, 0, 0), (-1, 0, 0)])
+    @pytest.mark.parametrize(
+        "bad", [(True, 0, 0), (1.0, 0, 0), (0, 0, 0), (-1, 0, 0), (0, [1], 0), (1, 0), (1, 0, 0, 0)]
+    )
     def test_warm_record_does_not_admit_lookalikes(self, bad, cold_growth_records):
         weak_saddle_alpha((1, 0, 0), "P", ln_n=5.0)
         for call in self.CALLS:

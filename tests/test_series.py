@@ -548,6 +548,29 @@ class TestSerialization:
         assert payload["v"] == "1/2"
         assert [Fraction(s) for s in payload["values"]] == list(seq.values)
 
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            egf_coeffs((0, 1, 0), "P", 30),
+            egf_coeffs((2, 2, 2), "Q", 40),
+            ogf_coeffs_euler((0, 0, 1), "P", 60),
+            egf_coeffs_weighted((1, 0, 1), Fraction(2, 3), 12),
+            CoeffSequence(AdmissibleTriple(0, 1, 0), "weighted", "egf-numerator",
+                          (1, Fraction(-3, 4), -BIG, Fraction(-BIG, 7), 0), v=Fraction(-1, 3)),
+        ],
+        ids=["egf-P", "egf-Q", "ogf", "weighted", "weighted-negative"],
+    )
+    def test_json_text_equals_json_dumps_of_the_payload(self, seq):
+        payload = {
+            "triple": [seq.triple.i, seq.triple.j, seq.triple.k],
+            "form": seq.form,
+            "kind": seq.kind,
+            "values": [to_decimal(value) for value in seq.values],
+        }
+        if seq.v is not None:
+            payload["v"] = to_decimal(seq.v)
+        assert to_json(seq) == json.dumps(payload)
+
     def test_bfile_round_trip_past_digit_limit(self):
         seq = CoeffSequence(AdmissibleTriple(0, 1, 0), "P", "ogf", (1, BIG, -BIG))
         records = parse_bfile(to_bfile(seq))

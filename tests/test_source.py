@@ -146,6 +146,22 @@ def test_caches_have_a_finite_maxsize():
     assert {"asympt.py:_growth_record", "oracle.py:_divisors", "oracle.py:_tuples"} <= cached
 
 
+def test_growth_record_is_reached_only_through_record():
+    # its cache is untyped, so a call that skips _record's exact-int guard would let (True, 0, 0) hit (1, 0, 0)
+    uses = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "_growth_record":
+                scope = parents[node]
+                while not isinstance(scope, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    scope = parents[scope]
+                called = isinstance(parents[node], ast.Call) and parents[node].func is node
+                uses.append((path.name, getattr(scope, "name", None), called))
+    assert uses == [("asympt.py", "_record", True)]
+
+
 @pytest.mark.parametrize(
     "source, lines",
     [
@@ -194,6 +210,11 @@ def test_package_import_loads_no_submodule():
             ["coeffs", "--triple", "0,1,0", "--form", "P", "--n", "5"],
             ["partition_forge.asympt", "partition_forge.oracle", "dataclasses", "json"],
             id="coeffs",
+        ),
+        pytest.param(
+            ["coeffs", "--triple", "0,1,0", "--form", "P", "--n", "5", "--format", "json"],
+            ["partition_forge.asympt", "partition_forge.oracle", "dataclasses", "json"],
+            id="coeffs-json",
         ),
         pytest.param(
             ["weighted", "--triple", "0,1,0", "--v", "1/3", "--n", "5"],
