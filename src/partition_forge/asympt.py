@@ -183,12 +183,6 @@ _POLE0_LOWER_TERMS = {
 _ROLE_BY_POLE = {2: "a", 1: "b"}
 
 
-def _lower_terms(t: AdmissibleTriple, form: str, pole: int) -> tuple[float, ...] | None:
-    # the coefficients below the leading one, or None where they are not known
-    lower = _POLE0_LOWER_TERMS.get((form, t), ()) if pole == 0 else ()
-    return lower if len(lower) == _pole_degree(t, form, pole) else None
-
-
 def residue_polynomial(t, form: str, pole: int) -> ResiduePolynomial:
     """Full residue polynomial: its lower terms, then residue_leading's value.
 
@@ -197,8 +191,8 @@ def residue_polynomial(t, form: str, pole: int) -> ResiduePolynomial:
     """
     t = as_triple(t)
     check_form(form)
-    lower = _lower_terms(t, form, pole)
-    if lower is None:
+    lower = _POLE0_LOWER_TERMS.get((form, t), ()) if pole == 0 else ()
+    if len(lower) != _pole_degree(t, form, pole):  # a bad or absent pole raises there, first
         raise NotTabulatedError(f"residue polynomial not tabulated for triple {t}, form {form}, pole {pole}")
     role = _ROLE_BY_POLE.get(pole, "c" if form == "P" else "d")
     return ResiduePolynomial(t, form, pole, role, lower + (residue_leading(t, form, pole),))
@@ -221,7 +215,7 @@ class GrowthTerms(NamedTuple):
     index_power: float
 
 
-_GrowthRecord = namedtuple("_GrowthRecord", "triple s ln_C m ln_scale factor terms residue0 closed_form")
+_GrowthRecord = namedtuple("_GrowthRecord", "triple s ln_C m ln_scale factor terms closed_form")
 
 
 @lru_cache(maxsize=256)  # every (triple, form) with i, j, k <= 4 fits
@@ -231,7 +225,8 @@ def _growth_record(form: str, t) -> _GrowthRecord:
     s is the rightmost pole (2 if i >= 1, else 1 if k >= 1, else 0), p
     the degree in log t of its residue polynomial (_pole_degree), and c
     the magnitude of the leading coefficient, whose sign is checked
-    against (-1)^p.  The cache is untyped, so it is reached only through
+    against (-1)^p; no pole-0 residue, which two closed forms read from
+    constants.  The cache is untyped, so it is reached only through
     _record, which lets in no True or 1.0 to match a cached 1.
     """
     t = as_triple(t)
@@ -248,9 +243,7 @@ def _growth_record(form: str, t) -> _GrowthRecord:
         terms = GrowthTerms(c, float(p), 0.0)
     if not 0.0 < terms.constant < inf:
         raise ValueError(f"growth constant must be real and positive, got {terms.constant} for {t} {form}")
-    lower0 = _lower_terms(t, form, 0)
-    residue0 = None if lower0 is None else lower0 + (residue_leading(t, form, 0),)
-    return _GrowthRecord(t, s, log(C), m, ln_scale, -m / (s + 1), terms, residue0, _FULL_COEFF.get((form, t)))
+    return _GrowthRecord(t, s, log(C), m, ln_scale, -m / (s + 1), terms, _FULL_COEFF.get((form, t)))
 
 
 def _record(form: str, t) -> _GrowthRecord:
@@ -374,6 +367,8 @@ class CoeffEstimate(NamedTuple):
 _FULL_COEFF = {("P", (0, 0, 1)): "P001", ("Q", (0, 0, 1)): "Q001", ("P", (0, 1, 0)): "P010",
                ("Q", (0, 1, 0)): "Q010", ("Q", (0, 2, 0)): "Q020"}
 _MIN_LN_N = math.log(2.0) - 1e-12  # coeff_asymptotic needs n >= 2, less a rounding margin
+_P010_C0 = residue_polynomial((0, 1, 0), "P", 0).coefficients[0]  # c0: the constant term of the pole-0 residue
+_Q020_D = residue_polynomial((0, 2, 0), "Q", 0).coefficients  # d0, d1, d2: the whole pole-0 residue
 
 
 def coeff_asymptotic(t, form: str, n: float | None = None, *, ln_n: float | None = None) -> CoeffEstimate:
@@ -405,11 +400,10 @@ def coeff_asymptotic(t, form: str, n: float | None = None, *, ln_n: float | None
         # of the truncated saddle equation; its first-order simplification
         # -log(w/n) alone misestimates the coefficient by ~16% even at
         # n = 455 (and is negative as literally printed).
-        c0 = r.residue0[0]
         w = lambert_w_log(g + L)
         lt = log(w) - L
         width = 2.0 * pi * (g + 1.0 - lt)
-        ln_est = (1.0 - g) * lt + c0 + w + lt * lt / 2.0 - 0.5 * log(width)
+        ln_est = (1.0 - g) * lt + _P010_C0 + w + lt * lt / 2.0 - 0.5 * log(width)
     elif closed_form == "Q010":
         # 2^(gamma - log2/2 + 1/2) / (sqrt(pi) * log2^(log2 - 1/2)) * n^(log2 - 1)
         l2 = _L2
@@ -417,7 +411,7 @@ def coeff_asymptotic(t, form: str, n: float | None = None, *, ln_n: float | None
         ln_est = ln_const + (l2 - 1.0) * L
     else:
         # Q, (0,2,0): theta(n) = (2 d2 / n) * W(n * exp(-d1/(2 d2)) / (2 d2))
-        d0, d1, d2 = r.residue0
+        d0, d1, d2 = _Q020_D
         ln_arg = L - d1 / (2.0 * d2) - log(2.0 * d2)
         w = lambert_w_log(ln_arg)
         ln_theta = log(2.0 * d2) - L + log(w)

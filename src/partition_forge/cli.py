@@ -227,12 +227,15 @@ def _cmd_weighted(args, out) -> int:
 
 
 def _log_scale_text(x: float, ln_abs) -> str:
-    """x to 6 decimals while an ulp of it is below 1; past that, its sign and |x| read off ln|x| = ln_abs()."""
+    """x to 6 decimals while an ulp of it is below 1; past that, its sign and |x| read off ln|x| = ln_abs(): the
+    mantissa decimals that log10|x| resolves (an ulp scales |x| by 1 + ln10 ulp), at most 12, or 10^(log10|x|)."""
     from .asympt import CoeffEstimate
 
     if math.ulp(x) < 1.0:  # inf has an infinite ulp
         return f"{x:.6f}"
-    return ("-" if x < 0 else "") + CoeffEstimate(ln_abs()).scientific(12)
+    est = CoeffEstimate(ln_abs())
+    decimals = min(12, math.floor(-math.log10(log(10.0) * math.ulp(est.log10))))
+    return ("-" if x < 0 else "") + (est.scientific(decimals) if decimals > 0 else f"10^({est.log10!r})")
 
 
 def _growth_text(args, n, ln_n) -> str:

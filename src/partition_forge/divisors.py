@@ -133,6 +133,12 @@ def check_form(form: str) -> None:
         raise ValueError(f"form must be 'P' or 'Q', got {form!r}")
 
 
+def check_upto(upto: int) -> None:
+    """Reject a run length that is a bool, not an int, or negative."""
+    if not isinstance(upto, int) or isinstance(upto, bool) or upto < 0:
+        raise ValueError(f"upto must be >= 0, an int and not a bool, got {upto!r}")
+
+
 def chi_table(t, limit: int) -> list[int]:
     """chi(n) for n = 1..limit (index 0 unused)."""
     return _euler_table(*as_triple(t), limit)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .divisors import as_triple, check_form
+from .divisors import as_triple, check_form, check_upto
 
 CYCLE_SUM_BOUND = 40
 PRODUCT_BOUND = 200
@@ -68,8 +68,7 @@ def cycle_type_sums(t, form: str, upto: int) -> list[int]:
     """
     t = as_triple(t)
     check_form(form)
-    if upto < 0:
-        raise ValueError("n must be >= 0")
+    check_upto(upto)
     if upto > CYCLE_SUM_BOUND:
         raise ValueError(f"n={upto} exceeds the cycle-sum oracle bound {CYCLE_SUM_BOUND}")
     weights = [0] + [_cycle_weight(t, length, form) for length in range(1, upto + 1)]
@@ -101,8 +100,7 @@ def product_expand(t, form: str, upto: int) -> list[int]:
     check_form(form)
     if t.j != 0:
         raise ValueError(f"product expansion requires j = 0 (triple {t})")
-    if upto < 0:
-        raise ValueError("upto must be >= 0")
+    check_upto(upto)
     if upto > PRODUCT_BOUND:
         raise ValueError(f"upto={upto} exceeds the product oracle bound {PRODUCT_BOUND}")
     coeffs = [1] + [0] * upto

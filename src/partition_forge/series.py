@@ -81,6 +81,7 @@ from .divisors import (  # noqa: F401
     DivisorTable,
     as_triple,
     check_form,
+    check_upto,
     chi_table,
     cycle_weight_table,
     cycle_weight_weighted,
@@ -96,7 +97,7 @@ _NAIVE_LAGS = 256  # OGF lags below it run as sums: 256..384 tied at N = 2000 an
 _PACK = 4  # OGF targets whose lags _PACK.._NAIVE_LAGS-1 share one dot product over packed F: 4 and 8 tied
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])  # integer arithmetic in Decimal, of any length
 _INT_DIGITS = 512  # digit strings this short parse with int(): under the lowest int/str digit limit allowed (640)
-_STR_BITS = 1700  # ints this short (< 10^512) render with str(); longer ones by decimal halves: 1700..3000 tied
+_STR_BITS = (10**_INT_DIGITS).bit_length() - 1  # 1700: ints this short (< 10^_INT_DIGITS) render with str()
 _DECIMAL_BITS = 1 << 16  # ints longer than this join binary halves in Decimal: libmpdec beats CPython's division there
 _POW10 = {}  # k -> 10^k, k a power of two: the split points of to_decimal and _from_digits
 _EXP_LEAF = 32  # exponential target ranges this short run Horner's rule in j: 16..64 tied
@@ -206,8 +207,7 @@ def egf_coeffs(t, form: str, upto: int) -> CoeffSequence:
     """Numerators p_n = n! * [z^n] F(z) for n = 0..upto, exact."""
     t = as_triple(t)
     check_form(form)
-    if upto < 0:
-        raise ValueError("upto must be >= 0")
+    check_upto(upto)
     if t.j == 0:  # F_n is an integer: p_n = n! F_n, from the ordinary kernel
         factorials = accumulate(range(1, upto + 1), mul, initial=1)
         return CoeffSequence(t, form, KIND_EGF, tuple(map(mul, factorials, ogf_coeffs_euler(t, form, upto))))
@@ -233,8 +233,7 @@ def egf_coeffs_weighted(t, v, upto: int) -> CoeffSequence:
     numerators it returns are b^(2m) p_m, over exactly b^(2m).
     """
     t = as_triple(t)
-    if upto < 0:
-        raise ValueError("upto must be >= 0")
+    check_upto(upto)
     v = Fraction(v)
     a, b = v.numerator, v.denominator
     limit = max(upto, 1)
@@ -275,8 +274,7 @@ def ogf_coeffs_euler(t, form: str, upto: int) -> CoeffSequence:
     check_form(form)
     if t.j != 0:
         raise ValueError(f"ordinary coefficients require j = 0 (triple {t})")
-    if upto < 0:
-        raise ValueError("upto must be >= 0")
+    check_upto(upto)
     c = cycle_weight_table(t, form, max(upto, 1))
     if min(c[1:]) < 0:  # never: every j = 0 weight is a positive integer (module docstring)
         lag = next(n for n in range(1, len(c)) if c[n] < 0)

@@ -279,8 +279,11 @@ def test_criterion_10_log_growth_trend():
     # order of the leading term D ln n, so G is not the asymptote of
     # log [z^n] Q there; coeff_asymptotic is, and it stands in for G.  Its
     # anchor is the band 0.75 <= exp(log exact - S) <= 1.05 of the
-    # supplementary check: the singularity at z = -1, which the expansion
-    # at t -> 0 does not see, adds an oscillation.
+    # supplementary check.  F vanishes at z = -1, so the band is not from
+    # there: its level is the closed form's constant, a Stirling stand-in
+    # for 1/Gamma(log 2) that is 0.114 too high in ln, and its oscillation
+    # comes from the roots of unity of odd order, which the expansion at
+    # t -> 0 does not see.
     t0 = time.perf_counter()
     failures = []
     ns = (200, 400, 800)

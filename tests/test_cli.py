@@ -409,6 +409,22 @@ class TestUnresolvedDigits:
         assert status == EXIT_OK
         assert "estimate ~" not in out
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            # log10 ~ 6.7e4 has an ulp of 1.5e-11: the mantissa keeps 10 decimals
+            (["logasymp", "--triple", "1,0,0", "--form", "P", "--log10n", "100000"], "9.3270205413e+66666"),
+            # an ulp of log10 is far above 1: no mantissa digit is resolved, so log10 itself prints
+            (["logasymp", "--triple", "0,0,1", "--form", "Q", "--log10n", "1e300"], "10^(5e+299)"),
+            (["estimate", "--triple", "2,2,2", "--form", "Q", "--log10n", "1e20"],
+             "log_coeff_growth = 10^(6.666666666666666e+19)"),
+        ],
+    )
+    def test_mantissa_keeps_only_resolved_decimals(self, argv, line):
+        status, out = run_cli(argv)
+        assert status == EXIT_OK
+        assert out.splitlines()[-1] == line
+
     def test_ln_decimals_kept_while_resolved(self):
         status, out = run_cli(["estimate", "--triple", "0,0,1", "--form", "P", "--log10n", "30"])
         ln = coeff_asymptotic((0, 0, 1), "P", ln_n=30 * math.log(10.0)).ln

@@ -9,7 +9,7 @@ from partition_forge.oracle import (
     cycle_type_sums,
     product_expand,
 )
-from partition_forge.series import egf_coeffs, ogf_coeffs_euler
+from partition_forge.series import egf_coeffs, egf_coeffs_weighted, ogf_coeffs_euler
 
 
 def cycle_types(n, largest=None):
@@ -103,8 +103,25 @@ class TestCycleTypeSums:
             cycle_type_sums((0, 1, 0), "P", CYCLE_SUM_BOUND + 1)
 
     def test_rejects_negative_n(self):
-        with pytest.raises(ValueError, match="n must be >= 0"):
+        with pytest.raises(ValueError, match="upto must be >= 0"):
             cycle_type_sums((0, 1, 0), "P", -1)
+
+
+RUN_LENGTH_ENGINES = {  # every entry point that takes a run length, with its other arguments
+    egf_coeffs: ((0, 1, 0), "P"),
+    egf_coeffs_weighted: ((0, 1, 0), 1),
+    ogf_coeffs_euler: ((0, 0, 1), "P"),
+    cycle_type_sums: ((0, 1, 0), "P"),
+    product_expand: ((0, 0, 1), "P"),
+}
+
+
+@pytest.mark.parametrize("upto", [True, 2.0, -1])
+@pytest.mark.parametrize("engine", RUN_LENGTH_ENGINES, ids=lambda engine: engine.__name__)
+def test_run_length_must_be_a_nonnegative_int(engine, upto):
+    # one check for the fast engines and the oracle: a bool is not a length, nor is an integral float
+    with pytest.raises(ValueError, match="upto must be >= 0"):
+        engine(*RUN_LENGTH_ENGINES[engine], upto)
 
 
 class TestProductExpand:

@@ -668,6 +668,11 @@ def digit_limit(request):
 class TestDecimalHalves:
     """to_decimal's routes: str() for short ints, decimal halves above _STR_BITS, Decimal joins above _DECIMAL_BITS."""
 
+    def test_str_bits_is_the_longest_int_under_the_int_digits(self):
+        # 1700 bits: every int this short has at most _INT_DIGITS digits, and one bit more can have one digit more
+        short, longer = (1 << series._STR_BITS) - 1, (1 << series._STR_BITS + 1) - 1
+        assert len(str(short)) <= series._INT_DIGITS < len(str(longer))
+
     def test_edges_match_str(self, digit_limit):
         for value in CODEC_EDGE_VALUES:
             text = to_decimal(value)
