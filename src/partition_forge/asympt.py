@@ -353,10 +353,8 @@ class CoeffEstimate(NamedTuple):
         return 10.0 ** (self.log10 - self.exponent10)
 
     def scientific(self, digits: int = 3) -> str:
-        mantissa, exponent = f"{self.mantissa:.{digits}f}", self.exponent10
-        if float(mantissa) >= 10.0:  # rounded up to 10: carry into the exponent
-            mantissa, exponent = f"{1:.{digits}f}", exponent + 1
-        return f"{mantissa}e{exponent:+d}"
+        mantissa, shift = f"{self.mantissa:.{digits}e}".split("e")  # shift is +01 where it rounds up to 10
+        return f"{mantissa}e{self.exponent10 + int(shift):+d}"
 
     @property
     def value(self) -> float:
@@ -369,6 +367,7 @@ _FULL_COEFF = {("P", (0, 0, 1)): "P001", ("Q", (0, 0, 1)): "Q001", ("P", (0, 1, 
 _MIN_LN_N = math.log(2.0) - 1e-12  # coeff_asymptotic needs n >= 2, less a rounding margin
 _P010_C0 = residue_polynomial((0, 1, 0), "P", 0).coefficients[0]  # c0: the constant term of the pole-0 residue
 _Q020_D = residue_polynomial((0, 2, 0), "Q", 0).coefficients  # d0, d1, d2: the whole pole-0 residue
+_Q010_LN_C = (_G - _L2 / 2.0 + 0.5) * _L2 - 0.5 * log(pi) - (_L2 - 0.5) * log(_L2)  # ln of Q010's constant
 
 
 def coeff_asymptotic(t, form: str, n: float | None = None, *, ln_n: float | None = None) -> CoeffEstimate:
@@ -406,9 +405,7 @@ def coeff_asymptotic(t, form: str, n: float | None = None, *, ln_n: float | None
         ln_est = (1.0 - g) * lt + _P010_C0 + w + lt * lt / 2.0 - 0.5 * log(width)
     elif closed_form == "Q010":
         # 2^(gamma - log2/2 + 1/2) / (sqrt(pi) * log2^(log2 - 1/2)) * n^(log2 - 1)
-        l2 = _L2
-        ln_const = (g - l2 / 2.0 + 0.5) * l2 - 0.5 * log(pi) - (l2 - 0.5) * log(l2)
-        ln_est = ln_const + (l2 - 1.0) * L
+        ln_est = _Q010_LN_C + (_L2 - 1.0) * L
     else:
         # Q, (0,2,0): theta(n) = (2 d2 / n) * W(n * exp(-d1/(2 d2)) / (2 d2))
         d0, d1, d2 = _Q020_D

@@ -227,14 +227,14 @@ def _cmd_weighted(args, out) -> int:
 
 
 def _log_scale_text(x: float, ln_abs) -> str:
-    """x to 6 decimals while an ulp of it is below 1; past that, its sign and |x| read off ln|x| = ln_abs(): the
-    mantissa decimals that log10|x| resolves (an ulp scales |x| by 1 + ln10 ulp), at most 12, or 10^(log10|x|)."""
+    """A decimal prints while its unit exceeds one ulp's step: x to 6 while ulp(x) < 1e-6 (|x| < 2^33); else its sign
+    and |x| off ln|x| = ln_abs(), to the decimals of mantissa m's step m ln10 ulp(log10|x|), <= 12, or 10^(log10|x|)."""
     from .asympt import CoeffEstimate
 
-    if math.ulp(x) < 1.0:  # inf has an infinite ulp
+    if math.ulp(x) < 1e-6:  # inf has an infinite ulp
         return f"{x:.6f}"
     est = CoeffEstimate(ln_abs())
-    decimals = min(12, math.floor(-math.log10(log(10.0) * math.ulp(est.log10))))
+    decimals = min(12, math.floor(-math.log10(est.mantissa * log(10.0) * math.ulp(est.log10))))
     return ("-" if x < 0 else "") + (est.scientific(decimals) if decimals > 0 else f"10^({est.log10!r})")
 
 
@@ -256,7 +256,7 @@ def _cmd_estimate(args, out) -> int:
     try:
         est = coeff_asymptotic(args.triple, args.form, n, ln_n=ln_n)
         lines = [f"ln_estimate = {_log_scale_text(est.ln, lambda: log(abs(est.ln)))}"]
-        if 10.0 * log(10.0) * math.ulp(est.log10) < 1e-3:  # an ulp moves the mantissa < 1e-3
+        if est.mantissa * log(10.0) * math.ulp(est.log10) < 1e-3:  # an ulp moves the mantissa < 1e-3
             lines.append(f"estimate ~ {est.scientific()}")
     except NoClosedFormError:  # raised before n is read: the growth law prints at every index it takes
         growth = _growth_text(args, n, ln_n)

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import io
 import json
 import math
@@ -9,7 +10,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from partition_forge import cli, oracle, series
-from partition_forge.asympt import coeff_asymptotic, kotesovec_ratio, log_coeff_asymptotic_ln
+from partition_forge.asympt import (
+    CoeffEstimate,
+    NoClosedFormError,
+    coeff_asymptotic,
+    kotesovec_ratio,
+    log_coeff_asymptotic,
+    log_coeff_asymptotic_ln,
+)
 from partition_forge.cli import (
     BFileError,
     BFileRecord,
@@ -400,6 +408,12 @@ class TestOverflowingEstimates:
         assert printed == pytest.approx(ln_value(float(argv[-1]) * math.log(10.0)), rel=1e-12)
 
 
+# the 52 (triple, form) pairs with i, j, k <= 2, and --log10n values from six fixed decimals to none of a mantissa
+GRID_PAIRS = [(f"{i},{j},{k}", form) for i in range(3) for j in range(3) for k in range(3) if i + j + k for form in "PQ"]
+GRID_LOG10N = ["0.5", "1", "2", "5", "9", "16", "18", "20", "23", "30", "100", "307.9", "400", "461.9", "1000"]
+GRID_LOG10N += [f"1e{e}" for e in range(4, 21)] + ["1e300"]
+
+
 class TestUnresolvedDigits:
     """Digits below one ulp of the float they come from are not printed."""
 
@@ -412,12 +426,14 @@ class TestUnresolvedDigits:
     @pytest.mark.parametrize(
         "argv, line",
         [
-            # log10 ~ 6.7e4 has an ulp of 1.5e-11: the mantissa keeps 10 decimals
-            (["logasymp", "--triple", "1,0,0", "--form", "P", "--log10n", "100000"], "9.3270205413e+66666"),
+            # log10 ~ 6.7e4 has an ulp of 1.5e-11, which moves the mantissa 9.3 by 3.1e-10: it keeps 9 decimals
+            (["logasymp", "--triple", "1,0,0", "--form", "P", "--log10n", "100000"], "9.327020541e+66666"),
             # an ulp of log10 is far above 1: no mantissa digit is resolved, so log10 itself prints
             (["logasymp", "--triple", "0,0,1", "--form", "Q", "--log10n", "1e300"], "10^(5e+299)"),
             (["estimate", "--triple", "2,2,2", "--form", "Q", "--log10n", "1e20"],
              "log_coeff_growth = 10^(6.666666666666666e+19)"),
+            # 4.3e15 has an ulp of 0.5, so not one of six fixed decimals is held
+            (["logasymp", "--triple", "1,0,0", "--form", "P", "--log10n", "23"], "4.329219439528e+15"),
         ],
     )
     def test_mantissa_keeps_only_resolved_decimals(self, argv, line):
@@ -426,10 +442,72 @@ class TestUnresolvedDigits:
         assert out.splitlines()[-1] == line
 
     def test_ln_decimals_kept_while_resolved(self):
+        # ln ~ 2.6e15 has an ulp of 0.5: no fixed decimal is held, so it prints as mantissa and exponent
         status, out = run_cli(["estimate", "--triple", "0,0,1", "--form", "P", "--log10n", "30"])
         ln = coeff_asymptotic((0, 0, 1), "P", ln_n=30 * math.log(10.0)).ln
+        assert status == EXIT_OK and math.ulp(ln) == 0.5
+        assert out.splitlines()[1] == "ln_estimate = 2.565099660324e+15"
+
+    def test_ln_estimate_past_2_33_takes_the_mantissa_form(self):
+        # ln ~ 2.65e10 has an ulp of 3.8e-6, so its sixth fixed decimal is not held
+        status, out = run_cli(["estimate", "--triple", "0,1,0", "--form", "P", "--log10n", "100000"])
         assert status == EXIT_OK
-        assert out.splitlines()[1] == f"ln_estimate = {ln:.6f}"
+        assert out.splitlines()[1:] == ["ln_estimate = 2.650678054424e+10", "estimate ~ 2.421e+11511748523"]
+
+    @pytest.mark.parametrize("verb", ["estimate", "logasymp"])
+    def test_every_printed_decimal_is_held(self, verb, monkeypatch):
+        monkeypatch.setattr(cli, "build_parser", functools.cache(build_parser))  # one parser serves every call
+        # x prints 6 fixed decimals only where ulp(x) < 1e-6; otherwise its mantissa m, read off ln|x|, moves by
+        # step = m ln10 ulp(log10|x|) per ulp, and keeps d decimals with 10^-(d+1) <= step < 10^-d (d <= 12)
+        def check(text, x, ln_abs):
+            if math.ulp(x) < 1e-6:
+                assert text == f"{x:.6f}"
+                return
+            est = CoeffEstimate(ln_abs())
+            step = est.mantissa * math.log(10.0) * math.ulp(est.log10)
+            sign, text = ("-", text[1:]) if text.startswith("-") else ("", text)
+            assert sign == ("-" if x < 0 else "")
+            if text.startswith("10^("):
+                assert text == f"10^({est.log10!r})" and not step < 0.1
+                return
+            mantissa, exponent = text.split("e")
+            d = len(mantissa) - 2
+            assert d >= 1 and mantissa[1] == "." and step < 10.0 ** -d and (d == 12 or step >= 10.0 ** -(d + 1))
+            assert abs(float(mantissa) * 10.0 ** (int(exponent) - est.exponent10) - est.mantissa) <= 0.51 * 10.0 ** -d
+
+        def growth(t, form, L):
+            try:
+                x = log_coeff_asymptotic(t, form, ln_n=L)
+            except OverflowError:
+                x = math.inf
+            return x, lambda: log_coeff_asymptotic_ln(t, form, ln_n=L)
+
+        for triple, form in GRID_PAIRS:
+            t = tuple(map(int, triple.split(",")))
+            for log10n in GRID_LOG10N:
+                status, out = run_cli([verb, "--triple", triple, "--form", form, "--log10n", log10n])
+                assert status == EXIT_OK
+                lines = out.splitlines()
+                L = float(log10n) * math.log(10.0)
+                if verb == "logasymp":
+                    assert len(lines) == 1
+                    check(lines[0], *growth(t, form, L))
+                    continue
+                try:
+                    est = coeff_asymptotic(t, form, ln_n=L)
+                except NoClosedFormError:
+                    assert lines[1] == "log-only: no closed-form coefficient estimate for this case"
+                    assert lines[2].startswith("log_coeff_growth = ") and len(lines) == 3
+                    check(lines[2][len("log_coeff_growth = "):], *growth(t, form, L))
+                    continue
+                except OverflowError:
+                    assert lines[1].startswith("ln_estimate = ") and len(lines) == 2
+                    check(lines[1][len("ln_estimate = "):], *growth(t, form, L))
+                    continue
+                assert lines[1].startswith("ln_estimate = ")
+                check(lines[1][len("ln_estimate = "):], est.ln, lambda: math.log(abs(est.ln)))
+                shown = est.mantissa * math.log(10.0) * math.ulp(est.log10) < 1e-3
+                assert lines[2:] == ([f"estimate ~ {est.scientific()}"] if shown else [])
 
 
 class TestBadIndex:
