@@ -122,10 +122,12 @@ def residue_leading(t, form: str, pole: int) -> float:
     pole 2 -> A (needs i >= 1), pole 1 -> B (needs k >= 1), pole 0 -> C
     for the P form and D for the Q form.  The Q form picks up the
     factors 3/4 (at s = 2) and 1/2 (at s = 1) from the eta cofactor.
+    Each divides by p!, p the pole's degree: OverflowError past p = 170.
     """
     t = as_triple(t)
     check_form(form)
-    _pole_degree(t, form, pole)
+    if _pole_degree(t, form, pole) > 170:  # before p! is built: 171! is past float range
+        raise OverflowError(f"residue constant out of float range for triple {t}, form {form}, pole {pole}")
     i, j, k = t
     c = CONSTANTS
     if pole == 2:

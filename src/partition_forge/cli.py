@@ -322,10 +322,7 @@ def _cmd_compare(args, out) -> int:
         records = parse_bfile(fh.read())
     if not records:
         raise ValueError(f"no records in b-file {args.bfile}")
-    top = max(r.index for r in records) - args.offset
-    if top < 0:
-        raise ValueError("empty overlap between computed sequence and reference")
-    upto = min(top, args.limit)
+    upto = max(min(records[-1].index - args.offset, args.limit), 0)  # indices increase; no overlap raises below
     report = compare_sequence(_exact_run(args, upto), records, args.offset)
     print(f"offset: {report.offset_applied}", file=out)
     print(f"overlap: {report.overlap_length} terms (computed up to index {upto})", file=out)

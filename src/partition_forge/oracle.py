@@ -6,9 +6,9 @@ expansion for the ordinary coefficients.  Both are capped at a fixed
 size (CYCLE_SUM_BOUND, PRODUCT_BOUND) so they remain obviously correct
 and quick enough for CI.
 
-The weights chi, psi and W are counted here from their definition, over
-ordered factorizations found by trial division, each memoized in a
-bounded cache; no code is shared with the sieve of ``divisors``.
+The weights chi and W, with psi as chi of the relabeled triple (0, k, i),
+are counted from their definition over ordered factorizations, one factor
+at a time at any depth, by trial division: no code is shared with ``divisors``.
 """
 
 from __future__ import annotations
@@ -29,11 +29,12 @@ def _divisors(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=8192)  # k = 0, 1, 2 (triples with entries <= 2) for every n up to 2000
 def _tuples(k: int, n: int) -> int:
-    """Ordered k-tuples of positive integers with product n; for k = 0 the
-    empty product, which is 1 only at n = 1."""
-    if k <= 1:
-        return 1 if k == 1 or n == 1 else 0
-    return sum(_tuples(k - 1, n // d) for d in _divisors(n))
+    """Ordered k-tuples of positive integers with product n, one factor per level
+    over the divisors of n, from the empty product (1 only at n = 1)."""
+    counts = {m: int(m == 1) for m in _divisors(n)}
+    for _ in range(k):
+        counts = {m: sum(counts[d] for d in _divisors(m)) for m in counts}
+    return counts[n]
 
 
 def _chi(t, n: int) -> int:
@@ -44,12 +45,6 @@ def _chi(t, n: int) -> int:
         for a in _divisors(n)
         for c in _divisors(n // a)
     )
-
-
-def _psi(t, n: int) -> int:
-    """psi(n): sum over n = a*c of a * tuples(i, a) tuples(k, c)."""
-    i, _, k = t
-    return sum(a * _tuples(i, a) * _tuples(k, n // a) for a in _divisors(n))
 
 
 def _cycle_weight(t, length: int, form: str) -> int:
@@ -105,7 +100,7 @@ def product_expand(t, form: str, upto: int) -> list[int]:
         raise ValueError(f"upto={upto} exceeds the product oracle bound {PRODUCT_BOUND}")
     coeffs = [1] + [0] * upto
     for m in range(1, upto + 1):
-        for _ in range(_psi(t, m)):
+        for _ in range(_chi((0, t.k, t.i), m)):  # psi(i, 0, k) = chi(0, k, i)
             if form == "P":
                 for idx in range(m, upto + 1):
                     coeffs[idx] += coeffs[idx - m]

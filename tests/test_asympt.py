@@ -732,6 +732,39 @@ class TestGrowthRecordCache:
         assert asympt._growth_record.cache_info().maxsize == 256
 
 
+class TestResiduePastFloatRange:
+    """Every leading residue divides by p!, p its degree; past p = 170 it is refused before p! is built."""
+
+    @pytest.fixture(autouse=True)
+    def bounded_factorial(self, monkeypatch, cold_growth_records):
+        def factorial(p):
+            assert p <= 170, f"built {p}!"
+            return math.factorial(p)
+
+        monkeypatch.setattr(asympt, "factorial", factorial)
+
+    @pytest.mark.parametrize(
+        "triple, form, pole",
+        [((1000000, 0, 0), "P", 2), ((172, 1, 1), "Q", 2), ((0, 2, 3000000), "Q", 1), ((0, 170, 0), "P", 0),
+         ((5, 171, 0), "Q", 0)],
+    )
+    def test_residue_leading(self, triple, form, pole):
+        message = f"residue constant out of float range for triple {AdmissibleTriple(*triple)}, form {form}, pole {pole}"
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            residue_leading(triple, form, pole)
+
+    @pytest.mark.parametrize("entry", TestGrowthRecordCache.CALLS)
+    @pytest.mark.parametrize("triple, form", [((1000000, 0, 0), "P"), ((0, 0, 1000000), "Q"), ((0, 1000000, 0), "P")])
+    def test_every_float_entry(self, entry, triple, form):
+        # each reaches the dominant pole's residue through the growth record
+        with pytest.raises(OverflowError, match=re.escape(f"for triple {AdmissibleTriple(*triple)}, form {form}")):
+            entry(triple, form)
+
+    def test_degree_170_keeps_its_value(self):
+        assert residue_leading((171, 0, 0), "P", 2) == CONSTANTS.zeta3 / math.factorial(170)
+        assert residue_leading((0, 169, 0), "P", 0) == (-1.0) ** 170 / math.factorial(170)
+
+
 class TestExplicitChecks:
     """The sign and positivity checks raise, so they hold under python -O."""
 

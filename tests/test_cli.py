@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from partition_forge import cli, oracle, series
+from partition_forge import asympt, cli, oracle, series
 from partition_forge.asympt import (
     CoeffEstimate,
     NoClosedFormError,
@@ -408,6 +408,21 @@ class TestOverflowingEstimates:
         assert printed == pytest.approx(ln_value(float(argv[-1]) * math.log(10.0)), rel=1e-12)
 
 
+@pytest.mark.parametrize("verb", ["estimate", "logasymp"])
+def test_residue_past_float_range_is_refused_before_its_factorial(verb, monkeypatch, capsys):
+    # the leading residue divides by p!, p = 999999 here: one line naming the triple, and no p! is built
+    def bounded_factorial(p):
+        assert p <= 170, f"built {p}!"
+        return factorial(p)
+
+    monkeypatch.setattr(asympt, "factorial", bounded_factorial)
+    status, out = run_cli([verb, "--triple", "1000000,0,0", "--form", "P", "--n", "100"])
+    assert (status, out) == (EXIT_DOMAIN, "")
+    assert capsys.readouterr().err == (
+        "error: residue constant out of float range for triple (1000000,0,0), form P, pole 2\n"
+    )
+
+
 # the 52 (triple, form) pairs with i, j, k <= 2, and --log10n values from six fixed decimals to none of a mantissa
 GRID_PAIRS = [(f"{i},{j},{k}", form) for i in range(3) for j in range(3) for k in range(3) if i + j + k for form in "PQ"]
 GRID_LOG10N = ["0.5", "1", "2", "5", "9", "16", "18", "20", "23", "30", "100", "307.9", "400", "461.9", "1000"]
@@ -662,6 +677,16 @@ class TestCompareVerb:
         assert out == ""
         assert capsys.readouterr().err == "error: empty overlap between computed sequence and reference\n"
 
+    def test_ordinary_run_with_positive_j_is_refused_before_the_overlap(self, tmp_path, capsys):
+        path = tmp_path / "ref.txt"
+        path.write_text("0 1\n1 1\n2 2\n")
+        status, out = run_cli(
+            ["compare", "--triple", "0,1,0", "--form", "P", "--bfile", str(path), "--offset", "3", "--ogf"]
+        )
+        assert status == EXIT_DOMAIN
+        assert out == ""
+        assert capsys.readouterr().err == "error: ordinary coefficients require j = 0 (triple (0,1,0))\n"
+
     def test_missing_file_is_domain_error(self, tmp_path):
         status, _ = run_cli(
             ["compare", "--triple", "0,0,1", "--form", "P", "--bfile", str(tmp_path / "nope")]
@@ -686,6 +711,11 @@ class TestOracleVerb:
     def test_bound_is_domain_error(self):
         status, _ = run_cli(["oracle", "--triple", "0,1,0", "--n", "100"])
         assert status == EXIT_DOMAIN
+
+    def test_large_entry_gives_the_engine_value(self):
+        status, out = run_cli(["oracle", "--triple", "400,0,0", "--n", "10"])
+        assert status == EXIT_OK
+        assert out == f"{egf_coeffs((400, 0, 0), 'P', 10).values[10]}\n"
 
 
 class TestNegativeCount:

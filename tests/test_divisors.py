@@ -209,7 +209,7 @@ class TestChiPsi:
             assert ct[1:] == [oracle._chi(triple, n) for n in range(1, 81)]
             if triple[1] == 0:
                 pt = psi_table(triple, 80)
-                assert pt[1:] == [oracle._psi(triple, n) for n in range(1, 81)]
+                assert pt[1:] == [oracle._chi((0, triple[2], triple[0]), n) for n in range(1, 81)]
 
 
 class TestCycleWeight:

@@ -94,6 +94,11 @@ class TestCycleTypeSums:
         # the recurrence's first block dot product runs at m = 32 (blocks of 32)
         assert cycle_type_sums(triple, form, 33) == list(egf_coeffs(triple, form, 33).values)
 
+    @pytest.mark.parametrize("triple, form, upto", [((400, 0, 0), "P", 10), ((0, 400, 3), "Q", 12)])
+    def test_counts_a_large_entry(self, triple, form, upto):
+        # an entry of 400 is an ordered factorization 400 factors deep
+        assert cycle_type_sums(triple, form, upto) == list(egf_coeffs(triple, form, upto).values)
+
     def test_small_prefixes(self):
         assert cycle_type_sums((0, 1, 0), "P", 4) == [1, 1, 3, 11, 59]
         assert cycle_type_sums((2, 1, 2), "Q", 0) == [1]
@@ -155,6 +160,11 @@ class TestProductExpand:
         direct = product_expand(triple, form, 100)
         seq = ogf_coeffs_euler(triple, form, 100)
         assert direct == list(seq.values)
+
+    @pytest.mark.parametrize("triple, form", [((0, 0, 400), "P"), ((400, 0, 0), "Q")])
+    def test_counts_a_large_entry(self, triple, form):
+        # factor m is applied psi(m) times, and psi(12) is 3.2e7 for (0,0,400), 3.8e8 for (400,0,0): n stays at 6
+        assert product_expand(triple, form, 6) == list(ogf_coeffs_euler(triple, form, 6).values)
 
     def test_consistent_with_cycle_sum_through_scaling(self):
         # both oracles describe the same series once the n! scaling is applied
